@@ -24,9 +24,9 @@ from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
                        write_sample_csv)
 from .config import (ConfigError, IlasConfig, LinkConfig, ParseError,
                      validate_config)
-from .rx_core import CTRL_FLAG, DERR_FLAG, NIT_FLAG, RxReceiver
-from .sim_harness import (ChannelSpec, Simulation, SysrefSpec,
-                          measure_latency_determinism)
+from .rx_core import RxReceiver
+from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, drive_receiver,
+                          measure_latency_determinism, pack_chars)
 from .tx_model import PayloadSpec, lane_payload_octets
 
 EXIT_OK = 0
@@ -153,81 +153,64 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _capture_words(cap: Capture) -> tuple[list[np.ndarray], list, list, int]:
-    """Decode a capture into per-lane packed character arrays."""
-    lanes_oct, lanes_ctrl, lanes_bad = [], [], []
+def _capture_chars(cap: Capture) -> list[np.ndarray]:
+    """Decode a capture into per-lane packed characters, whole cycles only."""
+    lanes = []
     if cap.fmt == FORMAT_SYMBOL10:
         for syms in cap.symbols:
-            bits = codec.serialize(syms)
-            offset, aligned = codec.bit_align(bits)
+            _, aligned = codec.bit_align(codec.serialize(syms))
             octs, ctrl, nit, derr, _ = codec.decode_stream(aligned, codec.RD_NEG)
-            lanes_oct.append(octs)
-            lanes_ctrl.append(ctrl)
-            lanes_bad.append((nit, derr))
+            lanes.append(pack_chars(octs, ctrl, nit, derr))
     else:
         for octs, ctrl in cap.chars:
-            lanes_oct.append(octs.copy())
-            lanes_ctrl.append(ctrl.copy())
-            z = np.zeros(octs.shape[0], dtype=bool)
-            lanes_bad.append((z, z.copy()))
-    n_cycles = min(o.shape[0] for o in lanes_oct) // 4
-    return lanes_oct, lanes_ctrl, lanes_bad, n_cycles
+            clean = np.zeros(octs.shape[0], dtype=bool)
+            lanes.append(pack_chars(octs, ctrl, clean, clean))
+    n_octets = 4 * (min(lane.shape[0] for lane in lanes) // 4)
+    return [lane[:n_octets] for lane in lanes]
 
 
 def decode_capture(cap: Capture, payload: PayloadSpec | None = None,
                    sysref: SysrefSpec | None = None):
     """Replay a capture through the receiver as if live.
 
-    Returns (receiver, output segments, sample-compare info).  Raises
-    :class:`NoSyncAchieved` if group synchronization never completes.
+    Returns (receiver, output segments).  Raises :class:`NoSyncAchieved`
+    if group synchronization never completes.
     """
     cfg = cap.config
     rx = RxReceiver(cfg)
-    sysref = sysref or SysrefSpec()
-    sysref.configure(cfg.fk)
-    lanes_oct, lanes_ctrl, lanes_bad, n_cycles = _capture_words(cap)
-    segments: list[list[list[int]]] = []
-    for t in range(n_cycles):
-        words = []
-        for lane in range(cfg.L):
-            base = 4 * t
-            word = []
-            for k in range(base, base + 4):
-                v = int(lanes_oct[lane][k])
-                if lanes_ctrl[lane][k]:
-                    v |= CTRL_FLAG
-                if lanes_bad[lane][0][k]:
-                    v |= NIT_FLAG
-                if lanes_bad[lane][1][k]:
-                    v |= DERR_FLAG
-                word.append(v)
-            words.append(tuple(word))
-        released_before = rx.released
-        out = rx.step_packed(words, sysref.pulse(t), True)
-        if rx.released and not released_before:
-            segments.append([[] for _ in range(cfg.L)])
-        if out.valid:
-            for lane in range(cfg.L):
-                segments[-1][lane].extend(out.words[lane])
+    chars = _capture_chars(cap)
+    segments: list[list[list[np.ndarray]]] = []
+
+    def on_release(cycle: int) -> None:
+        segments.append([[] for _ in range(cfg.L)])
+
+    def on_output(outs: list[np.ndarray]) -> None:
+        for parts, got in zip(segments[-1], outs):
+            parts.append(got)
+
+    n_cycles, _ = drive_receiver(rx, chars, sysref or SysrefSpec(),
+                                 on_release, on_output)
     if rx.t_synced < 0:
         raise NoSyncAchieved(
             f"no synchronization within {n_cycles} captured cycles "
             f"(fsm={rx.fsm.value})")
-    seg_arrays = [[np.array(l, dtype=np.uint8) for l in seg] for seg in segments]
+    seg_arrays = [[np.concatenate(parts) if parts else np.zeros(0, np.uint8)
+                   for parts in seg] for seg in segments]
     return rx, seg_arrays
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
     cap = read_capture(args.capture)
-    payload = None
+    payload = sysref = None
     channels = args.channels
     if args.config:
         _, sections = parse_config(args.config)
         payload = sections.get("payload")
+        sysref = sections.get("sysref")
         if payload is not None and channels is None:
             channels = payload.channels
     try:
-        rx, segments = decode_capture(cap)
+        rx, segments = decode_capture(cap, sysref=sysref)
     except NoSyncAchieved as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL

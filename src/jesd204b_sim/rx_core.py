@@ -22,7 +22,7 @@ character in the data phase, or overflowing an elastic buffer re-enters
 CGS with the sync request asserted.
 
 For long steady-state stretches :meth:`RxReceiver.fast_forward` consumes
-pre-decoded character arrays in one vectorized pass with semantics
+packed character arrays in one vectorized pass with semantics
 identical to repeated :meth:`step` calls (the equivalence is asserted by
 the test suite); it refuses anything but clean data-phase traffic.
 """
@@ -504,26 +504,25 @@ class RxReceiver:
 
     # -- vectorized steady state ---------------------------------------------
 
-    def fast_forward(self, lane_octets: list[np.ndarray], lane_ctrl: list[np.ndarray],
-                     lane_bad: list[np.ndarray], n_cycles: int,
+    def fast_forward(self, lane_chars: list[np.ndarray], n_cycles: int
                      ) -> list[np.ndarray]:
         """Consume ``n_cycles`` of clean data-phase input in one pass.
 
-        ``lane_octets[i]`` holds the next ``4 * n_cycles`` decoded octets
-        of lane i; ``lane_ctrl``/``lane_bad`` are the matching control and
-        decode-error flags.  Requires a released, synchronized link and
-        perfectly clean traffic; raises ValueError otherwise (callers
-        fall back to stepping).  Returns the output octets per lane.
-        State advances exactly as if :meth:`step_packed` had been called
-        ``n_cycles`` times.
+        ``lane_chars[i]`` holds the next ``4 * n_cycles`` characters of
+        lane i in the packed layout :meth:`step_packed` takes.  Requires
+        a released, synchronized link and perfectly clean traffic (no
+        flag bits); raises ValueError otherwise (callers fall back to
+        stepping).  Returns the output octets per lane.  State advances
+        exactly as if :meth:`step_packed` had been called ``n_cycles``
+        times.
         """
         if self.fsm is not RxFsm.SYNCED or not self.released:
             raise ValueError("fast_forward requires a released SYNCED link")
         n_oct = n_cycles * OCTETS_PER_CYCLE
         for i in range(self.cfg.L):
-            if lane_octets[i].shape[0] != n_oct:
+            if lane_chars[i].shape[0] != n_oct:
                 raise ValueError("input length must be 4 * n_cycles")
-            if bool(lane_ctrl[i].any()) or bool(lane_bad[i].any()):
+            if int(lane_chars[i].max(initial=0)) > 0xFF:
                 raise ValueError("fast_forward requires clean data-phase input")
             if any(v & (_CTRL | _FLAGS) for v in self.lanes[i].pend):
                 raise ValueError("pending residue is not clean data")
@@ -535,7 +534,7 @@ class RxReceiver:
         outputs = []
         for lane in self.lanes:
             residue = np.array([v & 0xFF for v in lane.pend], dtype=np.uint8)
-            incoming = np.asarray(lane_octets[lane.idx], dtype=np.uint8)
+            incoming = lane_chars[lane.idx].astype(np.uint8)
             stream = np.concatenate([residue, incoming])
             consume = stream[:n_oct]
             leftover = stream[n_oct:]

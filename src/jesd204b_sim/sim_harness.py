@@ -1,16 +1,16 @@
-"""Deterministic cycle-stepped end-to-end simulation.
+"""Deterministic end-to-end simulation.
 
 One :func:`run_simulation` call wires a golden transmitter through an
 impairment channel (per-lane octet skew, optional bit errors) and the
 8b/10b codec into the receiver, generates SYSREF, and measures sync
 time, release phase, latency and payload integrity.
 
-Wiring per cycle: the transmitter sees the receiver's sync request from
-the previous cycle (one cycle of SYNC propagation) and a multiframe
-boundary derived from the shared SYSREF schedule; its emitted characters
-are delayed per lane by the channel, encoded, optionally corrupted at
-the bit level, decoded and handed to the receiver.  Everything is a
-pure function of the configuration and seeds, so identical inputs give
+Wiring: the transmitter sees the receiver's sync request from the
+previous cycle (one cycle of SYNC propagation) and a multiframe boundary
+derived from the shared SYSREF schedule; its emitted characters are
+delayed per lane by the channel, encoded, optionally corrupted at the
+bit level, decoded and handed to the receiver.  Everything is a pure
+function of the configuration and seeds, so identical inputs give
 byte-identical reports and event logs.
 
 Payload correctness is judged against the transmitter's deterministic
@@ -20,10 +20,16 @@ idle filler (plus the per-lane skew) so every lane sees an
 idle-to-comma transition; the receiver anchors its octet rotation
 there.
 
-Long clean stretches are handed to the receiver's vectorized fast path
-(``fast=True``) in bounded chunks, so memory stays flat however long
-the run; the test suite asserts cycle-by-cycle equivalence with the
-stepped path.  Corrupted stretches always step cycle by cycle.
+The link runs in bounded chunks of cycles, so memory stays flat however
+long the run.  Within a chunk the sync request is held, the transmitter,
+channel and codec run vectorized, and :func:`drive_receiver` feeds the
+decoded characters to the receiver: flag-free stretches of a released
+link through its vectorized fast path (``fast=True``), everything else
+cycle by cycle.  When the receiver changes its sync request the chunk
+is cut there, and the transmitter, both running disparities and the
+line are rewound to that cycle.  Bit errors depend only on the seed,
+lane and cycle, so a rewind never redraws them.  The test suite asserts
+that stepped, fast and replayed runs agree byte for byte.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import codec8b10b as codec
-from .codec8b10b import decode_octet, encode_octet
+# The scalar codec forms stay importable from here for existing callers.
+from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import IlasConfig, LinkConfig, ParseError, validate_config
 from .rx_core import CTRL_FLAG, DERR_FLAG, NIT_FLAG, RxFsm, RxReceiver
 from .tx_model import PHASE_DATA, PayloadSpec, TxLink, lane_payload_octets
@@ -43,8 +51,11 @@ from .tx_model import PHASE_DATA, PayloadSpec, TxLink, lane_payload_octets
 OCTETS_PER_CYCLE = 4
 BITS_PER_CYCLE = 40
 
-_TAIL_CHUNK_CYCLES = 1 << 18   # vectorized-tail chunk; bounds peak memory
-_TAIL_MIN_CYCLES = 64          # below this, stepping is cheaper
+_TAIL_CHUNK_CYCLES = 1 << 18   # largest chunk; bounds peak memory
+_FIRST_CHUNK_CYCLES = 64       # chunk length after each sync-request change
+_FLIP_DRAW_CYCLES = 1 << 14    # cycles of bit-error draws per generator call
+# Flag bits of four packed characters viewed as one 64-bit word.
+_CYCLE_FLAGS = np.uint64(0xFF00_FF00_FF00_FF00)
 
 
 class SimConfigError(ValueError):
@@ -150,18 +161,27 @@ class SysrefSpec:
             raise ParseError(f"unknown sysref key(s): {', '.join(unknown)}")
         return cls(**data)
 
-    def configure(self, fk: int) -> None:
-        if self.period_multiframes is not None:
-            self._period_cycles = self.period_multiframes * fk // OCTETS_PER_CYCLE
-
-    def pulse(self, cycle: int) -> bool:
+    def pulse(self, cycle: int, fk: int) -> bool:
+        """Whether SYSREF pulses on ``cycle`` for a multiframe of ``fk`` octets."""
         if self.first_cycle is None or cycle < self.first_cycle:
             return False
         if cycle == self.first_cycle:
             return True
         if self.period_multiframes is None:
             return False
-        return (cycle - self.first_cycle) % self._period_cycles == 0
+        period = self.period_multiframes * fk // OCTETS_PER_CYCLE
+        return (cycle - self.first_cycle) % period == 0
+
+    def tx_boundary(self, cycle: int, fk: int) -> bool:
+        """Whether the transmitter's multiframe starts on ``cycle``.
+
+        The transmitter's grid is the SYSREF grid shifted by
+        ``tx_phase_offset_octets``; it runs only once SYSREF has started.
+        """
+        if self.first_cycle is None or cycle < self.first_cycle:
+            return False
+        offset = self.tx_phase_offset_octets // OCTETS_PER_CYCLE
+        return (cycle - self.first_cycle - offset) % (fk // OCTETS_PER_CYCLE) == 0
 
 
 @dataclass
@@ -236,14 +256,126 @@ def apply_bit_errors(bits: np.ndarray, rate: float = 0.0,
     return bits, [int(p) for p in flips]
 
 
-class _LaneCodec:
-    """Per-lane encode/decode disparity state for the stepped pipeline."""
+class _BitErrors:
+    """Line bit flips per lane, as absolute bit indices (bit i of cycle t
+    is ``40 * t + i``).
 
-    __slots__ = ("enc_rd", "dec_rd")
+    With a bit-error rate, lane ``l`` draws 40 uniforms per cycle, in
+    cycle order, from its own generator seeded ``(rng_seed, l)``.  One
+    ``random(40 * n)`` call returns the same values as ``n`` calls of
+    ``random(40)``, so drawing ahead in blocks changes nothing, and
+    positions drawn but not yet reached are kept: a rewound chunk sees
+    the same flips again.
+    """
 
-    def __init__(self) -> None:
-        self.enc_rd = codec.RD_NEG
-        self.dec_rd = codec.RD_NEG
+    def __init__(self, channel: ChannelSpec, lanes: int):
+        self.rate = channel.bit_error_rate
+        self.rngs = [np.random.default_rng((channel.rng_seed, lane))
+                     for lane in range(lanes)]
+        self.drawn = [0] * lanes          # bits drawn so far per lane
+        given: list[list[int]] = [[] for _ in range(lanes)]
+        for lane, bit in channel.error_positions or ():
+            if 0 <= lane < lanes and bit >= 0:
+                given[int(lane)].append(int(bit))
+        self.pending = [np.array(sorted(b), dtype=np.int64) for b in given]
+
+    def take(self, lane: int, lo: int, hi: int) -> np.ndarray:
+        """Flip positions of one lane in bits ``[lo, hi)``, duplicates kept."""
+        if self.rate > 0:
+            while self.drawn[lane] < hi:
+                n = min(hi - self.drawn[lane], _FLIP_DRAW_CYCLES * BITS_PER_CYCLE)
+                hits = np.flatnonzero(self.rngs[lane].random(n) < self.rate)
+                self.pending[lane] = np.concatenate(
+                    [self.pending[lane], hits + self.drawn[lane]])
+                self.drawn[lane] += n
+        p = self.pending[lane]
+        return p[np.searchsorted(p, lo): np.searchsorted(p, hi)]
+
+    def forget(self, bit: int) -> None:
+        """Drop positions before ``bit``; they will not be asked for again."""
+        self.pending = [p[np.searchsorted(p, bit):] for p in self.pending]
+
+
+def pack_chars(octets: np.ndarray, ctrl: np.ndarray, nit: np.ndarray,
+               derr: np.ndarray) -> np.ndarray:
+    """Decoded characters in the receiver's packed layout (octet | flags)."""
+    packed = octets.astype(np.uint16)
+    packed[ctrl] |= CTRL_FLAG
+    packed[nit] |= NIT_FLAG
+    packed[derr] |= DERR_FLAG
+    return packed
+
+
+def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
+                   on_release: Callable[[int], None],
+                   on_output: Callable[[list[np.ndarray]], None],
+                   fast: bool = True, stop_on_sync_change: bool = False,
+                   ) -> tuple[int, int]:
+    """Feed packed characters to ``rx``, four per lane per cycle.
+
+    ``chars[l]`` holds lane l's next characters in the layout of
+    :func:`pack_chars`; cycles are numbered by the receiver's own clock,
+    which also places the SYSREF pulses.  With ``fast``, every flag-free
+    span of a released, synchronized link goes through
+    :meth:`RxReceiver.fast_forward`.  Everything else steps: bring-up,
+    each flagged cycle and the cycle after it (a flagged octet can wait
+    one cycle in a lane's rotation residue), and the first cycle of the
+    call (the residue may hold a flagged octet from the previous call).
+
+    Released output is reported in order: ``on_release(cycle)`` opens an
+    output segment, ``on_output(per-lane octets)`` appends to the open
+    one.  With ``stop_on_sync_change`` the call returns right after the
+    cycle on which the receiver's sync request changes.  Returns
+    ``(cycles consumed, cycles fast-forwarded)``.
+    """
+    n = chars[0].shape[0] // OCTETS_PER_CYCLE
+    fk = rx.cfg.fk
+    flagged = np.zeros(n, dtype=bool)
+    for lane in chars:
+        flagged |= (lane[:OCTETS_PER_CYCLE * n].view(np.uint64) & _CYCLE_FLAGS) != 0
+    must_step = flagged.copy()
+    must_step[1:] |= flagged[:-1]
+    must_step[:1] = True
+    step_at = np.flatnonzero(must_step)
+
+    sync_before = rx.sync_request
+    stepped_out: list[list[int]] = [[] for _ in chars]
+
+    def flush() -> None:
+        if stepped_out[0]:
+            on_output([np.array(words, dtype=np.uint8) for words in stepped_out])
+            for words in stepped_out:
+                words.clear()
+
+    i = fast_cycles = 0
+    while i < n:
+        if fast and rx.released and rx.fsm is RxFsm.SYNCED and not must_step[i]:
+            k = int(np.searchsorted(step_at, i))
+            j = int(step_at[k]) if k < step_at.shape[0] else n
+            flush()
+            on_output(rx.fast_forward(
+                [lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * j] for lane in chars],
+                j - i))
+            fast_cycles += j - i
+            i = j
+            continue
+        cycle = rx.cycle + 1
+        was_released = rx.released
+        words = [tuple(lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * (i + 1)].tolist())
+                 for lane in chars]
+        out = rx.step_packed(words, sysref.pulse(cycle, fk), True)
+        if rx.released != was_released:
+            flush()
+            if rx.released:
+                on_release(cycle)
+        if out.valid:
+            for acc, word in zip(stepped_out, out.words):
+                acc.extend(word)
+        i += 1
+        if stop_on_sync_change and rx.sync_request != sync_before:
+            break
+    flush()
+    return i, fast_cycles
 
 
 class _SegmentCheck:
@@ -295,7 +427,6 @@ class Simulation:
         self.payload = payload or PayloadSpec()
         self.channel = channel or ChannelSpec()
         self.sysref = sysref or SysrefSpec()
-        self.sysref.configure(cfg.fk)
         self.tx = TxLink(cfg, ilas, self.payload)
         self.rx = RxReceiver(cfg, expected_ilas=self.tx.ilas_base)
         self.skews = self.channel.lane_skews(cfg.L)
@@ -303,220 +434,172 @@ class Simulation:
         self.collect_output = collect_output
         self.collect_received = collect_received
 
-        self._bit_mode = (self.channel.bit_error_rate > 0
-                          or bool(self.channel.error_positions))
-        self._flips_by_cycle: dict[int, list[tuple[int, int]]] = {}
-        self._max_flip_cycle = -1
-        if self.channel.error_positions:
-            for lane, bit in self.channel.error_positions:
-                cyc, off = divmod(int(bit), BITS_PER_CYCLE)
-                self._flips_by_cycle.setdefault(cyc, []).append((int(lane), off))
-                self._max_flip_cycle = max(self._max_flip_cycle, cyc)
-        self._err_rngs = [np.random.default_rng((self.channel.rng_seed, lane))
-                          for lane in range(cfg.L)]
-
-    def _received_char(self, lane: int, index: int) -> tuple[int, bool]:
-        fill = self.fills[lane]
-        if index < fill:
-            return self.channel.idle_octet, False
-        off = index - fill
-        return self._tx_oct[lane][off], self._tx_ctrl[lane][off]
-
     # -- main loop ------------------------------------------------------------
 
     def run(self, duration: int, fast: bool = True) -> SimReport:
+        """Run ``duration`` cycles from reset; ``fast=False`` steps every
+        cycle (the reference the fast path must match)."""
         if duration < 1:
             raise SimConfigError(f"duration must be positive, got {duration}")
-        cfg = self.cfg
-        rx, tx = self.rx, self.tx
-        lanes = cfg.L
-        mf_cycles = cfg.fk // OCTETS_PER_CYCLE
-        s0 = self.sysref.first_cycle
-        tx_off_cycles = self.sysref.tx_phase_offset_octets // OCTETS_PER_CYCLE
-
-        self._tx_oct: list[list[int]] = [[] for _ in range(lanes)]
-        self._tx_ctrl: list[list[bool]] = [[] for _ in range(lanes)]
-        lane_codecs = [_LaneCodec() for _ in range(lanes)]
-        sync_seen = True
-        flips_injected = 0
-        flips_pre_release = 0
+        lanes = self.cfg.L
+        tx, rx = self.tx, self.rx
+        tx.reset()
+        rx.reset()
+        # What each lane receives, from octet ``_line_base`` on: its idle
+        # fill, then everything the transmitter has sent.
+        self._line = [np.full(fill, self.channel.idle_octet, np.uint8)
+                      for fill in self.fills]
+        self._line_ctrl = [np.zeros(fill, bool) for fill in self.fills]
+        self._line_base = 0
+        self._tx_data_cycle = -1
+        flips = _BitErrors(self.channel, lanes)
+        enc_rd = [codec.RD_NEG] * lanes
+        dec_rd = [codec.RD_NEG] * lanes
         segments: list[_SegmentCheck] = []
         seg_data_cycle: list[int] = []
-        step_buf: list[list[int]] | None = None
-        recv_syms: list[list[int]] = [[] for _ in range(lanes)]
-        self._recv_tail: list[list[np.ndarray]] = [[] for _ in range(lanes)]
+        received: list[list[np.ndarray]] = [[] for _ in range(lanes)]
+        flips_injected = flips_pre_release = 0
         fast_used = False
-        cur_data_cycle = -1
+        release_cycle = -1
 
-        def close_step_buf() -> None:
-            nonlocal step_buf
-            if step_buf is not None:
-                seg = segments[-1]
-                for lane in range(lanes):
-                    seg.absorb(lane, np.array(step_buf[lane], dtype=np.uint8))
-            step_buf = None
+        def on_release(cycle: int) -> None:
+            nonlocal release_cycle
+            release_cycle = cycle
+            segments.append(_SegmentCheck(self.payload, lanes, tx.data_segments[-1],
+                                          self.collect_output))
+            seg_data_cycle.append(self._tx_data_cycle)
 
-        t = 0
+        # A segment closes only on a fault, which ends the chunk, so all of
+        # a chunk's output belongs to the segment open at its end; it is
+        # checked once the chunk's input arrays are freed.
+        outputs: list[list[np.ndarray]] = []
+
+        t, chunk = 0, _FIRST_CHUNK_CYCLES
         while t < duration:
-            pulse = self.sysref.pulse(t)
-            if s0 is None or t < s0:
-                tx_boundary = False
+            n = min(chunk, duration - t)
+            sync = rx.sync_request
+            released = rx.released
+            release_cycle = -1
+            tx_state = (tx.snapshot(), self._tx_data_cycle,
+                        [a.shape[0] for a in self._line])
+            self._tx_chunk(t, n, sync)
+            chars, line, lane_flips, rd_end = self._receive(t, n, enc_rd, dec_rd, flips)
+            done, fast_cycles = drive_receiver(rx, chars, self.sysref, on_release,
+                                               outputs.append, fast,
+                                               stop_on_sync_change=True)
+            del chars
+            for outs in outputs:
+                for lane, got in enumerate(outs):
+                    segments[-1].absorb(lane, got)
+            outputs.clear()
+            fast_used = fast_used or fast_cycles > 0
+            if done < n:
+                # The sync request changed: the cycles after the change were
+                # built on the old request, so rewind to the change.
+                _, line, lane_flips, rd_end = self._receive(t, done, enc_rd, dec_rd,
+                                                            flips)
+                snap, self._tx_data_cycle, line_len = tx_state
+                tx.restore(snap)
+                self._line = [a[:k] for a, k in zip(self._line, line_len)]
+                self._line_ctrl = [a[:k] for a, k in zip(self._line_ctrl, line_len)]
+                self._tx_chunk(t, done, sync)
+                chunk = _FIRST_CHUNK_CYCLES
             else:
-                tx_boundary = ((t - s0 - tx_off_cycles) % mf_cycles) == 0
+                chunk = min(2 * chunk, _TAIL_CHUNK_CYCLES)
+            enc_rd = [e for e, _ in rd_end]
+            dec_rd = [d for _, d in rd_end]
 
-            sent_before = tx.lane_octets_sent
-            words = tx.step(sync_seen, tx_boundary)
-            for lane, (octs, mask) in enumerate(words):
-                self._tx_oct[lane].extend(octs)
-                self._tx_ctrl[lane].extend(
-                    ((mask >> i) & 1 == 1 for i in range(OCTETS_PER_CYCLE)))
-            if tx.lane_octets_sent > sent_before:
-                if cur_data_cycle < 0:
-                    cur_data_cycle = t
-            elif tx.phase != PHASE_DATA:
-                cur_data_cycle = -1
+            # A flip is pre-release when the link was not released entering
+            # its cycle; unrelease always changes the sync request, so it
+            # can only happen on the chunk's last cycle.
+            pre_release = 0 if released else (release_cycle + 1 - t
+                                              if release_cycle >= 0 else done)
+            for pos in lane_flips:
+                flips_injected += pos.shape[0]
+                flips_pre_release += int(np.count_nonzero(
+                    pos < BITS_PER_CYCLE * pre_release))
+            if self.collect_received:
+                for lane, syms in enumerate(line):
+                    received[lane].append(syms)
+            t += done
+            flips.forget(BITS_PER_CYCLE * t)
+            drop = OCTETS_PER_CYCLE * t - self._line_base
+            self._line = [a[drop:] for a in self._line]
+            self._line_ctrl = [a[drop:] for a in self._line_ctrl]
+            self._line_base += drop
 
-            cycle_flips = self._flips_by_cycle.get(t, ()) if self._bit_mode else ()
-            rx_words = []
-            for lane in range(lanes):
-                base = OCTETS_PER_CYCLE * t
-                lc = lane_codecs[lane]
-                syms = []
-                for k in range(OCTETS_PER_CYCLE):
-                    octet, ctrl = self._received_char(lane, base + k)
-                    sym, lc.enc_rd = encode_octet(octet, ctrl, lc.enc_rd)
-                    syms.append(sym)
-                if self._bit_mode:
-                    if self.channel.bit_error_rate > 0:
-                        u = self._err_rngs[lane].random(BITS_PER_CYCLE)
-                        offs = np.flatnonzero(u < self.channel.bit_error_rate)
-                    else:
-                        offs = [o for (ln, o) in cycle_flips if ln == lane]
-                    for o in offs:
-                        o = int(o)
-                        syms[o // 10] ^= 1 << (9 - o % 10)
-                        flips_injected += 1
-                        if not rx.released:
-                            flips_pre_release += 1
-                if self.collect_received:
-                    recv_syms[lane].extend(syms)
-                word = []
-                for sym in syms:
-                    octet, ctrl, nit, derr, lc.dec_rd = decode_octet(sym, lc.dec_rd)
-                    word.append(octet | (CTRL_FLAG if ctrl else 0)
-                                | (NIT_FLAG if nit else 0)
-                                | (DERR_FLAG if derr else 0))
-                rx_words.append(tuple(word))
-
-            released_before = rx.released
-            out = rx.step_packed(rx_words, pulse, True)
-            if rx.released and not released_before:
-                segments.append(_SegmentCheck(self.payload, lanes,
-                                              tx.data_segments[-1],
-                                              self.collect_output))
-                seg_data_cycle.append(cur_data_cycle)
-                step_buf = [[] for _ in range(lanes)]
-            elif released_before and not rx.released:
-                close_step_buf()
-            if out.valid:
-                for lane in range(lanes):
-                    step_buf[lane].extend(out.words[lane])
-            sync_seen = rx.sync_request
-            t += 1
-
-            flips_done = (not self._bit_mode
-                          or (self.channel.bit_error_rate == 0
-                              and t > self._max_flip_cycle))
-            if (fast and flips_done and rx.released
-                    and rx.fsm is RxFsm.SYNCED and tx.phase == PHASE_DATA
-                    and t >= rx.t_release + 8
-                    and duration - t >= _TAIL_MIN_CYCLES):
-                close_step_buf()
-                self._tail_begin(t)
-                seg = segments[-1]
-                done = True
-                while t < duration:
-                    n = min(_TAIL_CHUNK_CYCLES, duration - t)
-                    outs = self._tail_chunk(t, n, lane_codecs)
-                    if outs is None:
-                        done = False
-                        break
-                    fast_used = True
-                    for lane in range(lanes):
-                        seg.absorb(lane, outs[lane])
-                    t += n
-                if done:
-                    break
-                step_buf = [[] for _ in range(lanes)]
-
-        if step_buf is not None:
-            close_step_buf()
         return self._build_report(duration, fast_used, segments, seg_data_cycle,
-                                  flips_injected, flips_pre_release, recv_syms)
+                                  flips_injected, flips_pre_release, received)
 
-    # -- vectorized tail -------------------------------------------------------
+    def _receive(self, t0: int, n_cycles: int, enc_rd: list[int], dec_rd: list[int],
+                 flips: _BitErrors) -> tuple[list[np.ndarray], list[np.ndarray],
+                                             list[np.ndarray], list[tuple[int, int]]]:
+        """The channel and codec for cycles [t0, t0 + n_cycles).
 
-    def _tail_begin(self, t0: int) -> None:
-        """Freeze the stepped TX history into rolling per-lane arrays."""
-        self._tx_base = 0
-        self._tx_tail_oct = [np.array(o, dtype=np.uint8) for o in self._tx_oct]
-        self._tx_tail_ctrl = [np.array(c, dtype=bool) for c in self._tx_ctrl]
+        Returns per lane the packed decoded characters, the line symbols
+        (only when collected), the flip positions relative to the chunk,
+        and the (encoder, decoder) running disparities after the chunk.
+        """
+        chars, line, lane_flips, rd_end = [], [], [], []
+        lo = OCTETS_PER_CYCLE * t0 - self._line_base
+        hi = lo + OCTETS_PER_CYCLE * n_cycles
+        for lane in range(self.cfg.L):
+            syms, enc_end = codec.encode_stream(self._line[lane][lo:hi],
+                                                self._line_ctrl[lane][lo:hi],
+                                                enc_rd[lane])
+            pos = flips.take(lane, BITS_PER_CYCLE * t0,
+                             BITS_PER_CYCLE * (t0 + n_cycles)) - BITS_PER_CYCLE * t0
+            if pos.shape[0]:
+                np.bitwise_xor.at(syms, pos // 10,
+                                  (1 << (9 - pos % 10)).astype(np.uint16))
+            octs, ctrl, nit, derr, dec_end = codec.decode_stream(syms, dec_rd[lane])
+            chars.append(pack_chars(octs, ctrl, nit, derr))
+            if self.collect_received:
+                line.append(syms)
+            lane_flips.append(pos)
+            rd_end.append((enc_end, dec_end))
+        return chars, line, lane_flips, rd_end
 
-    def _tail_chunk(self, t0: int, n_cycles: int,
-                    lane_codecs: list[_LaneCodec]) -> list[np.ndarray] | None:
-        """One vectorized chunk over cycles [t0, t0 + n_cycles)."""
-        cfg = self.cfg
+    # -- transmitter and line --------------------------------------------------
+
+    def _tx_chunk(self, t0: int, n_cycles: int, sync: bool) -> None:
+        """Append the transmitter's output for cycles [t0, t0 + n_cycles)
+        to the line, with the receiver's sync request held at ``sync``."""
         tx = self.tx
-        need = n_cycles * OCTETS_PER_CYCLE
-        tx_snapshot = (tx.lane_octets_sent, list(tx.scr_states))
-        rd_snapshot = [(lc.enc_rd, lc.dec_rd) for lc in lane_codecs]
-        bulk = tx.bulk_data(n_cycles)
-        lane_oct, lane_ctrl, lane_bad, tail_syms = [], [], [], []
-        for lane in range(cfg.L):
-            self._tx_tail_oct[lane] = np.concatenate(
-                [self._tx_tail_oct[lane], bulk[lane]])
-            self._tx_tail_ctrl[lane] = np.concatenate(
-                [self._tx_tail_ctrl[lane], np.zeros(bulk[lane].shape[0], bool)])
-            start = OCTETS_PER_CYCLE * t0 - self.fills[lane] - self._tx_base
-            window_o = self._tx_tail_oct[lane][start: start + need]
-            window_c = self._tx_tail_ctrl[lane][start: start + need]
-            syms, lane_codecs[lane].enc_rd = codec.encode_stream(
-                window_o, window_c, lane_codecs[lane].enc_rd)
-            octs, ctrl, nit, derr, lane_codecs[lane].dec_rd = codec.decode_stream(
-                syms, lane_codecs[lane].dec_rd)
-            lane_oct.append(octs)
-            lane_ctrl.append(ctrl)
-            lane_bad.append(nit | derr)
-            tail_syms.append(syms)
-        try:
-            outs = self.rx.fast_forward(lane_oct, lane_ctrl, lane_bad, n_cycles)
-        except ValueError:
-            tx.lane_octets_sent, tx.scr_states = tx_snapshot[0], tx_snapshot[1]
-            for lc, (er, dr) in zip(lane_codecs, rd_snapshot):
-                lc.enc_rd, lc.dec_rd = er, dr
-            for lane in range(cfg.L):
-                self._tx_tail_oct[lane] = self._tx_tail_oct[lane][:-bulk[lane].shape[0]]
-                self._tx_tail_ctrl[lane] = self._tx_tail_ctrl[lane][:-bulk[lane].shape[0]]
-            return None
-        if self.collect_received:
-            for lane in range(cfg.L):
-                self._recv_tail[lane].append(tail_syms[lane])
-        # trim TX history that no later chunk can reach
-        keep_from = (OCTETS_PER_CYCLE * (t0 + n_cycles)
-                     - max(self.fills) - 16 - self._tx_base)
-        if keep_from > 0:
-            for lane in range(cfg.L):
-                self._tx_tail_oct[lane] = self._tx_tail_oct[lane][keep_from:]
-                self._tx_tail_ctrl[lane] = self._tx_tail_ctrl[lane][keep_from:]
-            self._tx_base += keep_from
-        return outs
+        words = []      # per stepped cycle: (octets, control mask) per lane
+        c, end = t0, t0 + n_cycles
+        if sync:
+            # A held request parks the transmitter in CGS, repeating one word.
+            self._tx_data_cycle = -1
+            words = [tx.step(True, False)] * n_cycles
+            c = end
+        while c < end and tx.phase != PHASE_DATA:
+            words.append(tx.step(False, self.sysref.tx_boundary(c, self.cfg.fk)))
+            c += 1
+        bulk = []
+        if c < end:
+            if self._tx_data_cycle < 0:
+                self._tx_data_cycle = c
+            bulk = tx.bulk_data(end - c)
+        bit = np.arange(OCTETS_PER_CYCLE)
+        for lane in range(self.cfg.L):
+            masks = np.array([w[lane][1] for w in words], dtype=np.uint8)
+            octs = [self._line[lane],
+                    np.array([w[lane][0] for w in words], dtype=np.uint8).reshape(-1)]
+            ctrl = [self._line_ctrl[lane],
+                    ((masks[:, None] >> bit) & 1).astype(bool).reshape(-1)]
+            if bulk:
+                octs.append(bulk[lane])
+                ctrl.append(np.zeros(bulk[lane].shape[0], dtype=bool))
+            self._line[lane] = np.concatenate(octs)
+            self._line_ctrl[lane] = np.concatenate(ctrl)
 
     # -- reporting -------------------------------------------------------------
 
     def _build_report(self, duration: int, fast_used: bool,
                       segments: list[_SegmentCheck], seg_data_cycle: list[int],
                       flips_injected: int, flips_pre_release: int,
-                      recv_syms: list[list[int]]) -> SimReport:
+                      received: list[list[np.ndarray]]) -> SimReport:
         cfg = self.cfg
         rx = self.rx
 
@@ -528,11 +611,7 @@ class Simulation:
         self.segment_tx_starts = [s.m0 for s in segments]
 
         if self.collect_received:
-            self.received_symbols = []
-            for lane in range(cfg.L):
-                parts = [np.array(recv_syms[lane], dtype=np.uint16)]
-                parts.extend(self._recv_tail[lane])
-                self.received_symbols.append(np.concatenate(parts))
+            self.received_symbols = [np.concatenate(parts) for parts in received]
 
         sync_achieved = rx.t_synced >= 0
         frames_per_cycle = OCTETS_PER_CYCLE / cfg.F
@@ -648,7 +727,7 @@ def measure_latency_determinism(cfg: LinkConfig, n_trials: int,
         skews = rng.integers(skew_range[0], skew_range[1] + 1, cfg.L)
         channel = ChannelSpec(skew=[int(s) for s in skews])
         rep = run_simulation(cfg, payload=payload, channel=channel,
-                             sysref=dataclasses.replace(base_sysref),
+                             sysref=base_sysref,
                              duration=duration)
         synced = synced and rep.sync_achieved and rep.t_release >= 0
         latencies.append(rep.total_latency_octets)

@@ -177,6 +177,17 @@ class TxLink:
             cache, off = self._cache[lane], 0
         return cache[off: off + count]
 
+    def snapshot(self) -> tuple:
+        """The stepping state, to hand back to :meth:`restore`."""
+        return (self.phase, self.ilas_pos, self.lane_octets_sent,
+                list(self.scr_states), len(self.data_segments))
+
+    def restore(self, state: tuple) -> None:
+        """Rewind to a :meth:`snapshot` taken earlier in the same run."""
+        self.phase, self.ilas_pos, self.lane_octets_sent, scr, segments = state
+        self.scr_states = list(scr)
+        del self.data_segments[segments:]
+
     def _enter_data(self) -> None:
         self.phase = PHASE_DATA
         self.scr_states = [scrambler.ALL_ONES] * self.cfg.L

@@ -124,6 +124,29 @@ class TestGenDecodeRoundTrip:
         main(["gen", "--config", cfgp, "--out", str(cap), "--cycles", "1500"])
         assert main(["decode", "--capture", str(cap), "--config", cfgp]) == EXIT_OK
 
+    def test_decode_uses_the_config_sysref(self, config_path, tmp_path):
+        cfgp = config_path(channel={"skew": [5, 38]},
+                           sysref={"first_cycle": 51, "tx_phase_offset_octets": 12})
+        cap, live, dec = (tmp_path / n for n in ("cap.txt", "live.json", "dec.json"))
+        assert main(["gen", "--config", cfgp, "--out", str(cap),
+                     "--cycles", "1500"]) == EXIT_OK
+        assert main(["simulate", "--config", cfgp, "--duration", "1500",
+                     "--report", str(live)]) == EXIT_OK
+        assert main(["decode", "--capture", str(cap), "--config", cfgp,
+                     "--report", str(dec)]) == EXIT_OK
+        live_release = json.loads(live.read_text())["t_release"]
+        assert live_release > 0
+        assert json.loads(dec.read_text())["release_cycle"] == live_release
+
+    def test_decode_leaves_the_callers_sysref_alone(self, config_path, tmp_path):
+        from jesd204b_sim.cli import decode_capture
+        from jesd204b_sim.sim_harness import SysrefSpec
+        cap = tmp_path / "cap.txt"
+        main(["gen", "--config", config_path(), "--out", str(cap), "--cycles", "600"])
+        spec = SysrefSpec()
+        decode_capture(read_capture(str(cap)), sysref=spec)
+        assert vars(spec) == vars(SysrefSpec())
+
     def test_truncated_capture_no_sync(self, config_path, tmp_path):
         cfgp = config_path()
         cap = tmp_path / "cap.txt"

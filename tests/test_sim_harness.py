@@ -151,10 +151,56 @@ class TestBitErrors:
         channel = ChannelSpec(skew=[0, 0], bit_error_rate=2e-4, rng_seed=9)
         rep = run_simulation(CFG, payload=PAY, channel=channel, duration=4000)
         assert rep.flips_injected > 0
-        assert not rep.fast_path_used  # corrupted runs must step
+        # clean spans between flips take the fast path, with stepped output
+        assert rep.fast_path_used
+        slow = run_simulation(CFG, payload=PAY, channel=channel, duration=4000,
+                              fast=False)
+        d_fast, d_slow = dataclasses.asdict(rep), dataclasses.asdict(slow)
+        d_fast.pop("fast_path_used")
+        d_slow.pop("fast_path_used")
+        assert d_fast == d_slow
+
+    def test_memory_bounded_under_bit_errors(self, monkeypatch):
+        # Peak memory depends on the chunk size, not on the run length.
+        # Chunks double up to the cap while no fault occurs; a small cap
+        # lets both runs reach it, so only growth with length remains.
+        import tracemalloc
+        import jesd204b_sim.sim_harness as sh
+        monkeypatch.setattr(sh, "_TAIL_CHUNK_CYCLES", 1 << 12)
+
+        def peak(cycles):
+            sim = Simulation(CFG, payload=PAY,
+                             channel=ChannelSpec(skew=[5, 38], bit_error_rate=1e-5,
+                                                 rng_seed=2))
+            tracemalloc.start()
+            try:
+                rep = sim.run(cycles)
+                return tracemalloc.get_traced_memory()[1], rep
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(40_000)
+        large, rep = peak(160_000)
+        assert rep.flips_injected > 0 and rep.sync_achieved
+        assert large < 2 * small
 
 
 class TestDeterminism:
+    def test_second_run_repeats_the_first(self):
+        sim = Simulation(CFG, payload=PAY, channel=ChannelSpec(skew=[2, 7]))
+        first = sim.run(2000).to_json()
+        assert sim.run(2000).to_json() == first
+
+    def test_sysref_schedule_is_pure(self):
+        spec = SysrefSpec(first_cycle=8, period_multiframes=4)
+        period = 4 * CFG.fk // 4
+        assert spec.pulse(8, CFG.fk) and spec.pulse(8 + period, CFG.fk)
+        assert not spec.pulse(7, CFG.fk) and not spec.pulse(9, CFG.fk)
+        assert SysrefSpec(period_multiframes=None).pulse(8, CFG.fk)
+        assert not SysrefSpec(period_multiframes=None).pulse(8 + period, CFG.fk)
+        assert not SysrefSpec(first_cycle=None).pulse(8, CFG.fk)
+        assert spec == SysrefSpec(first_cycle=8, period_multiframes=4)
+
     def test_identical_runs_byte_identical_reports(self):
         kw = dict(payload=PAY, channel=ChannelSpec(skew=[2, 7], rng_seed=1),
                   duration=3000)
