@@ -34,6 +34,7 @@ PAYLOAD_KINDS = ("ramp", "sine", "random")
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_PAYLOAD_BLOCK = 1 << 16   # octets generated per pass
 
 
 @dataclass
@@ -105,10 +106,16 @@ def lane_payload_octets(spec: PayloadSpec, lanes: int, lane: int,
     Sample j maps to lane ``j mod lanes``; each sample occupies two
     consecutive lane octets, high byte first.
     """
-    m = np.arange(start, start + count, dtype=np.int64)
-    sample_idx = lanes * (m >> 1) + lane
-    samples = payload_samples(spec, sample_idx)
-    return np.where(m & 1 == 0, samples >> 8, samples & 0xFF).astype(np.uint8)
+    # Generated in fixed blocks: the 64-bit index and hash temporaries
+    # then stay small and are reused, instead of being faulted in afresh
+    # for every long chunk.
+    out = np.empty(count, dtype=np.uint8)
+    for lo in range(0, count, _PAYLOAD_BLOCK):
+        m = np.arange(start + lo, start + min(count, lo + _PAYLOAD_BLOCK),
+                      dtype=np.int64)
+        samples = payload_samples(spec, lanes * (m >> 1) + lane)
+        out[lo: lo + m.shape[0]] = np.where(m & 1 == 0, samples >> 8, samples & 0xFF)
+    return out
 
 
 def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[tuple[np.ndarray, np.ndarray]]:
