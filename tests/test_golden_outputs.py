@@ -6,7 +6,9 @@ modes) followed by its event log and, where collected, the output
 segments and received line symbols.  The digests were recorded with the
 original per-cycle stepped loop, before the receiver was driven in
 chunks, so every mode of the chunked driver is checked against the
-behaviour it replaced.
+behaviour it replaced.  The four transmitter-edge cases were recorded
+while the transmitter still stepped once per cycle through CGS and the
+alignment sequence, so they check its array form against stepping.
 """
 
 import dataclasses
@@ -56,6 +58,15 @@ CASES = dict(
               seed=5),
         _case("shifted-sysref", skew=(5, 38), ber=1e-5, seed=6,
               sysref=SysrefSpec(first_cycle=51, tx_phase_offset_octets=12)),
+        # Transmitter edges: the shortest multiframe, an alignment sequence
+        # longer than several chunks, SYSREF once and SYSREF never.
+        _case("fk20", F=4, K=5, skew=(3, 9), ber=1e-5, seed=8),
+        _case("fk1024", F=32, K=32, skew=(5, 38), seed=9),
+        _case("one-shot-sysref", skew=(0, 12),
+              positions=[(0, 40 * (800 + i) + 11) for i in range(12)],
+              sysref=SysrefSpec(period_multiframes=None)),
+        _case("no-sysref", skew=(0, 4), ber=1e-5, seed=11,
+              sysref=SysrefSpec(first_cycle=None)),
     ])
 
 GOLDEN = {
@@ -63,14 +74,22 @@ GOLDEN = {
         "a3f4da2c53cbf64326e945d11f2c7d7c97c8b11267155ed3fda709aa3f994a8f",
     "collect-output-and-received":
         "269e50793ed5052c4c20a4f44c3e1b6c50593368439afbeae1dc63a8c5a29723",
+    "fk1024":
+        "492e228cbaa351d79357b502c27832a75e3a76087e320f875b9aa64ba49d593c",
+    "fk20":
+        "c2a7f786388d95b23c5b648d47c1b4f047f33afbe0fe1f2f59c220e64f8ff53d",
     "flip-in-cgs":
         "cdeb805fde268c23a205c8ac73b32a851604d2e21b99393ade71028a1878a072",
     "flip-in-ilas":
         "bc8a6a94ff157ab2aa86cbf669dfccdb5635b440d2bbf99925e19c823adbfb0d",
     "four-lanes":
         "93b4e9fd4404ab2f26779c0f86c43291d89926c47ec7cb4c5989aaf2e0399d1f",
+    "no-sysref":
+        "93dcfa4665fa3a583339a4d8b02b6cdfaf9106912857c010f158509f9c85b271",
     "one-lane":
         "0ff29ce316d0310d66a70068701797ed23753db2fa93baaa1bf037c88e61e01a",
+    "one-shot-sysref":
+        "c7ff8672603b0d220cde1c7f9a2b6633dfa11792fb1fa9c74f1bf494f1202de4",
     "scr0-skew0_0-ber0":
         "e28fe25c354777f591f5f08031f398e1483829d741269a6d15862c183ac82d22",
     "scr0-skew0_0-ber0.001":
