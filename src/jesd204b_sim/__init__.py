@@ -26,9 +26,9 @@ from .config import (ConfigError, ConstraintViolation, FieldOverflow,
                      compute_fchk, validate_config)
 from .rx_core import RxFsm, RxOutput, RxReceiver
 from .sim_harness import (ChannelSpec, LatencySweep, SimConfigError,
-                          SimReport, Simulation, SysrefSpec, apply_bit_errors,
-                          apply_skew, measure_latency_determinism,
-                          run_multi_link, run_simulation)
+                          SimReport, Simulation, SysrefSpec,
+                          measure_latency_determinism, run_multi_link,
+                          run_simulation)
 from .tx_model import PayloadSpec, TxLink, build_ilas, lane_payload_octets
 
 __version__ = "0.1.0"
@@ -42,8 +42,8 @@ __all__ = [
     "validate_config",
     "RxFsm", "RxOutput", "RxReceiver",
     "ChannelSpec", "LatencySweep", "SimConfigError", "SimReport",
-    "Simulation", "SysrefSpec", "apply_bit_errors", "apply_skew",
-    "measure_latency_determinism", "run_multi_link", "run_simulation",
+    "Simulation", "SysrefSpec", "measure_latency_determinism",
+    "run_multi_link", "run_simulation",
     "PayloadSpec", "TxLink", "build_ilas", "lane_payload_octets",
     "__version__",
 ]

@@ -169,8 +169,7 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
     return [lane[:n_octets] for lane in lanes]
 
 
-def decode_capture(cap: Capture, payload: PayloadSpec | None = None,
-                   sysref: SysrefSpec | None = None):
+def decode_capture(cap: Capture, sysref: SysrefSpec | None = None):
     """Replay a capture through the receiver as if live.
 
     Returns (receiver, output segments).  Raises :class:`NoSyncAchieved`

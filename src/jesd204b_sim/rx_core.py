@@ -100,9 +100,7 @@ class LaneState:
     __slots__ = (
         "idx", "rotation", "rot_candidate", "run", "pend", "rot_dropped",
         "mode", "aligned_count", "mf_count", "mf_pos", "cfg_octets",
-        "markers_ok", "ilas_ok", "ilas_error", "data_start_aligned",
-        "dsc_state", "buffer", "read_abs", "write_abs",
-        "data_start_cycle",
+        "markers_ok", "ilas_ok", "dsc_state", "buffer", "write_abs",
     )
 
     def __init__(self, idx: int):
@@ -122,13 +120,9 @@ class LaneState:
         self.cfg_octets: list[int] = []
         self.markers_ok = True
         self.ilas_ok = False
-        self.ilas_error = False
-        self.data_start_aligned = -1
         self.dsc_state = scrambler.ALL_ONES
         self.buffer: deque[int] = deque()
-        self.read_abs = 0
         self.write_abs = 0
-        self.data_start_cycle = -1
 
     @property
     def ready(self) -> bool:
@@ -183,7 +177,6 @@ class RxReceiver:
         self._stability = 0
         self._err_cycles: deque[int] = deque()
         self.released = False
-        self.rx_valid = False
         self.resync_count = 0
         self.events: list[tuple[int, int | None, str, str]] = []
         self.error_counts: dict[str, int] = {
@@ -198,7 +191,6 @@ class RxReceiver:
         self.t_release = -1
         self.t_first_valid = -1
         self.release_lmfc_phase = -1
-        self.release_cycles: list[int] = []
 
     # -- public stepping ----------------------------------------------------
 
@@ -264,12 +256,10 @@ class RxReceiver:
                 ph = self.lmfc.phase
                 if self.lmfc.locked and ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
                     self.released = True
-                    self.rx_valid = True
                     if self.t_release < 0:  # measurements track the first release
                         self.t_release = cycle
                         self.release_lmfc_phase = ph
                         self.t_first_valid = cycle
-                    self.release_cycles.append(cycle)
                     self._event(None, "release", f"lmfc_phase={ph}")
             if self.released:
                 out_words = []
@@ -281,7 +271,6 @@ class RxReceiver:
                         return self._idle_output()
                     out_words.append(tuple(lane.buffer.popleft()
                                            for _ in range(OCTETS_PER_CYCLE)))
-                    lane.read_abs += OCTETS_PER_CYCLE
                 out_words = tuple(out_words)
 
         return RxOutput(out_words is not None, out_words, self.sync_request,
@@ -294,10 +283,6 @@ class RxReceiver:
 
     def _event(self, lane: int | None, name: str, detail: str) -> None:
         self.events.append((self.cycle, lane, name, detail))
-
-    def drain_events(self) -> list[tuple[int, int | None, str, str]]:
-        ev, self.events = self.events, []
-        return ev
 
     def _count_flags(self, packed: int) -> None:
         if packed & _NIT:
@@ -388,7 +373,6 @@ class RxReceiver:
                              None)
                 if shift is None:
                     self.error_counts["marker_mismatch"] += 1
-                    lane.ilas_error = True
                     return (lane.idx, "marker_mismatch",
                             f"expected /R/ or /K/, got 0x{word[0] & 0xFF:02X}")
                 lane.rotation = (lane.rotation + shift) % OCTETS_PER_CYCLE
@@ -452,14 +436,11 @@ class RxReceiver:
         lane.ilas_ok = lane.markers_ok and config_ok
         lane.mode = _DATA
         lane.dsc_state = scrambler.ALL_ONES
-        lane.data_start_aligned = lane.aligned_count
-        lane.data_start_cycle = self.cycle
         if not config_ok:
             self.error_counts["config_mismatch"] += 1
             self._event(lane.idx, "config_mismatch",
                         f"checksum_ok={checksum_ok}")
         if not lane.ilas_ok:
-            lane.ilas_error = True
             return (lane.idx, "ilas_invalid", "alignment sequence rejected")
         self._event(lane.idx, "ilas_ok", f"lid={ic.lid}")
         return None
@@ -494,7 +475,6 @@ class RxReceiver:
         self.resync_count += 1
         self.fsm = RxFsm.CGS
         self.sync_request = True
-        self.rx_valid = False
         self.released = False
         self._stability = 0
         self._err_cycles.clear()
@@ -551,7 +531,6 @@ class RxReceiver:
             lane.pend = deque(int(v) for v in leftover)
             lane.aligned_count += n_oct
             lane.write_abs += n_oct
-            lane.read_abs += n_oct
 
         self.cycle += n_cycles
         self.lmfc.phase = (self.lmfc.phase

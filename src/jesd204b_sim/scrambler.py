@@ -9,14 +9,16 @@ of the 14-bit state word, one serial step is::
     descramble:  out = in ^ state[12] ^ state[13];  state <- (state << 1 | in)  & 0x3FFF
 
 Bits are processed most-significant first within each octet, earliest
-octet first.  Three equivalent forms are provided:
+octet first.  Equivalent forms are provided:
 
 * serial, one bit at a time (the reference form),
-* a 32-bit-wide feed-forward XOR network applied one word (4 octets) at
-  a time, mirroring a wide-datapath hardware implementation,
+* a 32-bit-wide feed-forward XOR network, mirroring a wide-datapath
+  hardware implementation, applied to arrays of independent
+  (state, word) pairs; the one-word calls are one-element batches,
 * bulk octet-array forms for long streams (the descramble direction is
   a plain shifted XOR; the scramble direction uses iterated operator
-  doubling over GF(2), which costs O(log n) shifted-XOR passes).
+  doubling over GF(2), which costs O(log n) shifted-XOR passes),
+* octet-at-a-time descramble tables for the receiver's stepped path.
 
 All forms are pure functions threading the state explicitly and are
 verified against each other bit-for-bit by the test suite.
@@ -117,10 +119,7 @@ _SCR_OUT_IN, _SCR_OUT_ST, _SCR_ST_IN, _SCR_ST_ST = _build_masks(self_sync_input=
 _DSC_OUT_IN, _DSC_OUT_ST, _DSC_ST_IN, _DSC_ST_ST = _build_masks(self_sync_input=True)
 
 
-def _parity32(x: np.ndarray | int):
-    x = np.asarray(x, dtype=np.uint32) if not isinstance(x, (int, np.integer)) else x
-    if isinstance(x, (int, np.integer)):
-        return int(x).bit_count() & 1
+def _parity32(x: np.ndarray) -> np.ndarray:
     x = x ^ (x >> np.uint32(16))
     x = x ^ (x >> np.uint32(8))
     x = x ^ (x >> np.uint32(4))
@@ -139,36 +138,6 @@ def word_from_octets(octets: Sequence[int]) -> int:
 
 def octets_from_word(word: int) -> tuple[int, int, int, int]:
     return ((word >> 24) & 0xFF, (word >> 16) & 0xFF, (word >> 8) & 0xFF, word & 0xFF)
-
-
-def _apply_word(word: int, state: int, out_in, out_st, st_in, st_st) -> tuple[int, int]:
-    out = 0
-    for j in range(32):
-        bit = (int(word & int(out_in[j])).bit_count()
-               ^ int(state & int(out_st[j])).bit_count()) & 1
-        out = (out << 1) | bit
-    new_state = 0
-    for k in range(STATE_BITS):
-        bit = (int(word & int(st_in[k])).bit_count()
-               ^ int(state & int(st_st[k])).bit_count()) & 1
-        new_state |= bit << k
-    return out, new_state
-
-
-def scramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Scramble one 4-octet word through the parallel XOR network."""
-    word = word_from_octets(octets)
-    out, state = _apply_word(word, state & STATE_MASK,
-                             _SCR_OUT_IN, _SCR_OUT_ST, _SCR_ST_IN, _SCR_ST_ST)
-    return state, octets_from_word(out)
-
-
-def descramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Descramble one 4-octet word through the parallel XOR network."""
-    word = word_from_octets(octets)
-    out, state = _apply_word(word, state & STATE_MASK,
-                             _DSC_OUT_IN, _DSC_OUT_ST, _DSC_ST_IN, _DSC_ST_ST)
-    return state, octets_from_word(out)
 
 
 def _apply_words_batch(words: np.ndarray, states: np.ndarray,
@@ -200,6 +169,20 @@ def descramble_words_batch(states: np.ndarray, words: np.ndarray
     out, ns = _apply_words_batch(words, states,
                                  _DSC_OUT_IN, _DSC_OUT_ST, _DSC_ST_IN, _DSC_ST_ST)
     return ns, out
+
+
+def scramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Scramble one 4-octet word through the parallel XOR network."""
+    ns, out = scramble_words_batch(np.array([state & STATE_MASK]),
+                                   np.array([word_from_octets(octets)]))
+    return int(ns[0]), octets_from_word(int(out[0]))
+
+
+def descramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Descramble one 4-octet word through the parallel XOR network."""
+    ns, out = descramble_words_batch(np.array([state & STATE_MASK]),
+                                     np.array([word_from_octets(octets)]))
+    return int(ns[0]), octets_from_word(int(out[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -267,43 +250,30 @@ def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Octet-at-a-time lookup tables for the cycle-stepped paths.  One octet
-# step is linear over GF(2), so the input and state contributions are
-# tabulated separately and XOR-combined at use:
+# Octet-at-a-time descramble tables for the receiver's stepped path.  One
+# octet step is linear over GF(2), so the input and state contributions
+# are tabulated separately and XOR-combined at use:
 #
 #   out        = OUT_IN[octet] ^ OUT_ST[state]
 #   next_state = NXT_IN[octet] ^ NXT_ST[state]
 # ---------------------------------------------------------------------------
 
-def _octet_contrib(values: np.ndarray, as_input: bool,
-                   self_sync_input: bool) -> tuple[np.ndarray, np.ndarray]:
+def _octet_contrib(values: np.ndarray, as_input: bool) -> tuple[np.ndarray, np.ndarray]:
     octs = values if as_input else np.zeros_like(values)
     s = np.zeros_like(values) if as_input else values.copy()
     out = np.zeros_like(values)
     for bit in range(7, -1, -1):
         b = (octs >> np.uint32(bit)) & np.uint32(1)
         o = b ^ ((s >> np.uint32(12)) & np.uint32(1)) ^ ((s >> np.uint32(13)) & np.uint32(1))
-        fed = b if self_sync_input else o
-        s = ((s << np.uint32(1)) | fed) & np.uint32(STATE_MASK)
+        s = ((s << np.uint32(1)) | b) & np.uint32(STATE_MASK)
         out = (out << np.uint32(1)) | o
     return out.astype(np.uint8), s.astype(np.uint16)
 
 
 @lru_cache(maxsize=None)
-def _octet_step_tables(self_sync_input: bool
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    out_in, nxt_in = _octet_contrib(np.arange(256, dtype=np.uint32),
-                                    as_input=True, self_sync_input=self_sync_input)
-    out_st, nxt_st = _octet_contrib(np.arange(1 << STATE_BITS, dtype=np.uint32),
-                                    as_input=False, self_sync_input=self_sync_input)
-    return out_in, nxt_in, out_st, nxt_st
-
-
-def scramble_step_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(OUT_IN, NXT_IN, OUT_ST, NXT_ST) tables for octet-wise scrambling."""
-    return _octet_step_tables(False)
-
-
 def descramble_step_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(OUT_IN, NXT_IN, OUT_ST, NXT_ST) tables for octet-wise descrambling."""
-    return _octet_step_tables(True)
+    out_in, nxt_in = _octet_contrib(np.arange(256, dtype=np.uint32), as_input=True)
+    out_st, nxt_st = _octet_contrib(np.arange(1 << STATE_BITS, dtype=np.uint32),
+                                    as_input=False)
+    return out_in, nxt_in, out_st, nxt_st

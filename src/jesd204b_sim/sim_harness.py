@@ -42,11 +42,12 @@ from typing import Callable
 import numpy as np
 
 from . import codec8b10b as codec
-# The scalar codec forms stay importable from here for existing callers.
+# Unused here; the benchmark's tracer looks the scalar codec forms up in
+# this module, so they stay importable from it.
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import IlasConfig, LinkConfig, ParseError, validate_config
 from .rx_core import CTRL_FLAG, DERR_FLAG, NIT_FLAG, RxFsm, RxReceiver
-from .tx_model import PHASE_DATA, PayloadSpec, TxLink, lane_payload_octets
+from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
 
 OCTETS_PER_CYCLE = 4
 BITS_PER_CYCLE = 40
@@ -61,10 +62,10 @@ _CYCLE_FLAGS = np.uint64(0xFF00_FF00_FF00_FF00)
 class SimConfigError(ValueError):
     """The simulation setup is impossible as specified.
 
-    Raised for structural mistakes (wrong skew list length, nonpositive
-    duration).  Setups that are merely doomed, like skew beyond the
-    buffer capacity, are valid inputs: they must produce a reported
-    fault, not an exception.
+    Raised for structural mistakes (wrong skew list length, a flip on a
+    lane that does not exist, nonpositive duration).  Setups that are
+    merely doomed, like skew beyond the buffer capacity, are valid
+    inputs: they must produce a reported fault, not an exception.
     """
 
 
@@ -74,10 +75,11 @@ class ChannelSpec:
 
     ``error_positions`` lists explicit ``(lane, bit_index)`` flips, with
     bit indices counted over the lane's serialized (post-skew) stream;
-    bit i of cycle t is ``40 * t + i``.  A nonzero ``bit_error_rate``
-    flips each line bit independently with that probability.  The two
-    mechanisms are mutually exclusive.  The same seed always produces
-    the same flips.
+    bit i of cycle t is ``40 * t + i``.  Indices must be non-negative and
+    lanes must exist; a position past the end of a run is legal and
+    simply not reached.  A nonzero ``bit_error_rate`` flips each line
+    bit independently with that probability.  The two mechanisms are
+    mutually exclusive.  The same seed always produces the same flips.
     """
 
     skew: tuple[int, ...] | list[int] | None = None
@@ -99,6 +101,8 @@ class ChannelSpec:
             raise ValueError("base_idle_octets must be at least 24")
         if self.skew is not None and any(s < 0 for s in self.skew):
             raise ValueError("skew must be non-negative")
+        if any(bit < 0 for _, bit in self.error_positions or ()):
+            raise ValueError("error_positions bit indices must be non-negative")
 
     def lane_skews(self, lanes: int) -> list[int]:
         if self.skew is None:
@@ -221,41 +225,6 @@ class SimReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
 
-def apply_skew(lane_streams: list[np.ndarray], skews: list[int],
-               idle_octet: int = 0x00) -> list[np.ndarray]:
-    """Delay each lane's octet stream by prepending idle filler octets."""
-    out = []
-    for stream, skew in zip(lane_streams, skews):
-        if skew < 0:
-            raise ValueError("skew must be non-negative")
-        filler = np.full(skew, idle_octet, dtype=np.uint8)
-        out.append(np.concatenate([filler, np.asarray(stream, dtype=np.uint8)]))
-    return out
-
-
-def apply_bit_errors(bits: np.ndarray, rate: float = 0.0,
-                     positions: list[int] | None = None,
-                     seed: int = 0) -> tuple[np.ndarray, list[int]]:
-    """Flip bits in a serialized stream; returns (impaired, flip list).
-
-    Either explicit positions (out-of-range entries ignored) or an
-    independent per-bit flip probability with a fixed seed.
-    """
-    bits = np.asarray(bits, dtype=np.uint8).copy()
-    if positions is not None and rate:
-        raise ValueError("rate and positions are mutually exclusive")
-    if positions is not None:
-        flips = sorted(p for p in positions if 0 <= p < bits.shape[0])
-    elif rate > 0:
-        rng = np.random.default_rng(seed)
-        flips = np.flatnonzero(rng.random(bits.shape[0]) < rate).tolist()
-    else:
-        flips = []
-    for p in flips:
-        bits[p] ^= 1
-    return bits, [int(p) for p in flips]
-
-
 class _BitErrors:
     """Line bit flips per lane, as absolute bit indices (bit i of cycle t
     is ``40 * t + i``).
@@ -275,8 +244,7 @@ class _BitErrors:
         self.drawn = [0] * lanes          # bits drawn so far per lane
         given: list[list[int]] = [[] for _ in range(lanes)]
         for lane, bit in channel.error_positions or ():
-            if 0 <= lane < lanes and bit >= 0:
-                given[int(lane)].append(int(bit))
+            given[int(lane)].append(int(bit))
         self.pending = [np.array(sorted(b), dtype=np.int64) for b in given]
 
     def take(self, lane: int, lo: int, hi: int) -> np.ndarray:
@@ -430,6 +398,11 @@ class Simulation:
         self.tx = TxLink(cfg, ilas, self.payload)
         self.rx = RxReceiver(cfg, expected_ilas=self.tx.ilas_base)
         self.skews = self.channel.lane_skews(cfg.L)
+        bad = sorted({lane for lane, _ in self.channel.error_positions or ()
+                      if not 0 <= lane < cfg.L})
+        if bad:
+            raise SimConfigError(f"error_positions name lane(s) {bad}; "
+                                 f"the link has lanes 0..{cfg.L - 1}")
         self.fills = [self.channel.base_idle_octets + s for s in self.skews]
         self.collect_output = collect_output
         self.collect_received = collect_received
@@ -565,34 +538,22 @@ class Simulation:
     def _tx_chunk(self, t0: int, n_cycles: int, sync: bool) -> None:
         """Append the transmitter's output for cycles [t0, t0 + n_cycles)
         to the line, with the receiver's sync request held at ``sync``."""
-        tx = self.tx
-        words = []      # per stepped cycle: (octets, control mask) per lane
-        c, end = t0, t0 + n_cycles
+        tx, fk = self.tx, self.cfg.fk
+        boundary = None
+        if tx.phase == PHASE_CGS and not sync:
+            # The grid repeats every multiframe, so one multiframe is enough.
+            boundary = next((i for i in range(min(n_cycles, fk // OCTETS_PER_CYCLE))
+                             if self.sysref.tx_boundary(t0 + i, fk)), None)
+        sent = tx.lane_octets_sent
+        lanes = tx.emit(n_cycles, sync, boundary)
+        data_cycles = (tx.lane_octets_sent - sent) // OCTETS_PER_CYCLE
         if sync:
-            # A held request parks the transmitter in CGS, repeating one word.
             self._tx_data_cycle = -1
-            words = [tx.step(True, False)] * n_cycles
-            c = end
-        while c < end and tx.phase != PHASE_DATA:
-            words.append(tx.step(False, self.sysref.tx_boundary(c, self.cfg.fk)))
-            c += 1
-        bulk = []
-        if c < end:
-            if self._tx_data_cycle < 0:
-                self._tx_data_cycle = c
-            bulk = tx.bulk_data(end - c)
-        bit = np.arange(OCTETS_PER_CYCLE)
-        for lane in range(self.cfg.L):
-            masks = np.array([w[lane][1] for w in words], dtype=np.uint8)
-            octs = [self._line[lane],
-                    np.array([w[lane][0] for w in words], dtype=np.uint8).reshape(-1)]
-            ctrl = [self._line_ctrl[lane],
-                    ((masks[:, None] >> bit) & 1).astype(bool).reshape(-1)]
-            if bulk:
-                octs.append(bulk[lane])
-                ctrl.append(np.zeros(bulk[lane].shape[0], dtype=bool))
-            self._line[lane] = np.concatenate(octs)
-            self._line_ctrl[lane] = np.concatenate(ctrl)
+        elif data_cycles and self._tx_data_cycle < 0:
+            self._tx_data_cycle = t0 + n_cycles - data_cycles
+        for lane, (octets, ctrl) in enumerate(lanes):
+            self._line[lane] = np.concatenate([self._line[lane], octets])
+            self._line_ctrl[lane] = np.concatenate([self._line_ctrl[lane], ctrl])
 
     # -- reporting -------------------------------------------------------------
 

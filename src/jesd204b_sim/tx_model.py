@@ -7,6 +7,11 @@ multiframes (/R/ start, /A/ end, /Q/ plus the 14 configuration octets in
 the second multiframe, position-counter ramp elsewhere) and then streams
 payload, scrambled per lane when enabled.
 
+Any span of cycles is emitted at once as per-lane (octets, control-flag)
+arrays with the sync request held over the span: a filled comma array, a
+slice of the prebuilt alignment sequence, then bulk payload.  Stepping
+one cycle is the one-cycle span.
+
 Payload is produced by a deterministic, seekable generator so the
 harness can regenerate any slice for exact comparison instead of logging
 what was sent.  16-bit samples are interleaved sample-by-sample across
@@ -148,7 +153,7 @@ def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[tuple[np.ndarray, np.n
 
 
 class TxLink:
-    """One link's transmitter, stepped once per link-clock cycle."""
+    """One link's transmitter, emitting any span of link-clock cycles."""
 
     def __init__(self, cfg: LinkConfig, ilas: IlasConfig | None = None,
                  payload: PayloadSpec | None = None):
@@ -159,8 +164,6 @@ class TxLink:
             cfg, channels=self.payload.channels)
         self._ilas = build_ilas(cfg, self.ilas_base)
         self._ilas_len = ILAS_MULTIFRAMES * cfg.fk
-        self._scr_tabs = scrambler.scramble_step_tables()
-        self._cache_size = 4096
         self.reset()
 
     def reset(self) -> None:
@@ -169,23 +172,9 @@ class TxLink:
         self.lane_octets_sent = 0          # payload octets emitted per lane
         self.scr_states = [scrambler.ALL_ONES] * self.cfg.L
         self.data_segments: list[int] = []  # lane octet index at each DATA entry
-        self._cache_start = [0] * self.cfg.L
-        self._cache = [np.zeros(0, dtype=np.uint8)] * self.cfg.L
-
-    # -- payload helpers ---------------------------------------------------
-
-    def _lane_octets(self, lane: int, start: int, count: int) -> np.ndarray:
-        cache = self._cache[lane]
-        off = start - self._cache_start[lane]
-        if off < 0 or off + count > cache.shape[0]:
-            self._cache_start[lane] = start
-            self._cache[lane] = lane_payload_octets(
-                self.payload, self.cfg.L, lane, start, self._cache_size)
-            cache, off = self._cache[lane], 0
-        return cache[off: off + count]
 
     def snapshot(self) -> tuple:
-        """The stepping state, to hand back to :meth:`restore`."""
+        """The emission state, to hand back to :meth:`restore`."""
         return (self.phase, self.ilas_pos, self.lane_octets_sent,
                 list(self.scr_states), len(self.data_segments))
 
@@ -200,61 +189,55 @@ class TxLink:
         self.scr_states = [scrambler.ALL_ONES] * self.cfg.L
         self.data_segments.append(self.lane_octets_sent)
 
-    # -- per-cycle stepping ------------------------------------------------
+    def emit(self, n_cycles: int, sync_request: bool, boundary: int | None
+             ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Emit ``n_cycles`` per lane as (octets, control-flag) arrays.
+
+        ``sync_request`` is held for the whole span; ``boundary`` is the
+        offset of the span's first multiframe start, or None if the span
+        has none.  A held request parks the transmitter in CGS; otherwise
+        CGS ends at the boundary, the alignment sequence follows, then
+        payload.
+        """
+        cgs = 0
+        if sync_request or self.phase == PHASE_CGS:
+            cgs = n_cycles if sync_request or boundary is None else min(boundary, n_cycles)
+            self.phase = PHASE_CGS if cgs == n_cycles else PHASE_ILAS
+            self.ilas_pos = 0
+        count = OCTETS_PER_CYCLE * cgs
+        lanes = [([np.full(count, K_K, np.uint8)], [np.ones(count, bool)])
+                 for _ in range(self.cfg.L)]
+        left = OCTETS_PER_CYCLE * (n_cycles - cgs)
+        if self.phase == PHASE_ILAS and left:
+            pos = self.ilas_pos
+            self.ilas_pos = min(self._ilas_len, pos + left)
+            for (octets, ctrl), (ilas_octets, ilas_ctrl) in zip(lanes, self._ilas):
+                octets.append(ilas_octets[pos: self.ilas_pos])
+                ctrl.append(ilas_ctrl[pos: self.ilas_pos])
+            left -= self.ilas_pos - pos
+            if self.ilas_pos == self._ilas_len:
+                self._enter_data()
+        if left:
+            for (octets, ctrl), data in zip(lanes, self.bulk_data(left // OCTETS_PER_CYCLE)):
+                octets.append(data)
+                ctrl.append(np.zeros(data.shape[0], bool))
+        return [(np.concatenate(octets), np.concatenate(ctrl)) for octets, ctrl in lanes]
 
     def step(self, sync_request: bool, lmfc_boundary: bool
              ) -> list[tuple[tuple[int, int, int, int], int]]:
-        """Emit one word per lane: ((o0, o1, o2, o3), control_mask).
+        """Emit one cycle as one word per lane: ((o0, o1, o2, o3), control_mask).
 
         Bit i of the control mask marks octet i as a control character.
         """
-        if sync_request:
-            self.phase = PHASE_CGS
-            self.ilas_pos = 0
-        elif self.phase == PHASE_CGS and lmfc_boundary:
-            self.phase = PHASE_ILAS
-            self.ilas_pos = 0
-
-        if self.phase == PHASE_CGS:
-            return [((K_K, K_K, K_K, K_K), 0xF)] * self.cfg.L
-
-        if self.phase == PHASE_ILAS:
-            pos = self.ilas_pos
-            out = []
-            for octets, ctrl in self._ilas:
-                mask = (int(ctrl[pos]) | int(ctrl[pos + 1]) << 1
-                        | int(ctrl[pos + 2]) << 2 | int(ctrl[pos + 3]) << 3)
-                out.append((tuple(int(o) for o in octets[pos: pos + 4]), mask))
-            self.ilas_pos += OCTETS_PER_CYCLE
-            if self.ilas_pos == self._ilas_len:
-                self._enter_data()
-            return out
-
-        out = []
-        m = self.lane_octets_sent
-        oi, ni, os_, ns = self._scr_tabs
-        for lane in range(self.cfg.L):
-            raw = self._lane_octets(lane, m, OCTETS_PER_CYCLE)
-            if self.cfg.scrambling:
-                s = self.scr_states[lane]
-                word = []
-                for o in raw:
-                    word.append(int(oi[o] ^ os_[s]))
-                    s = int(ni[o] ^ ns[s])
-                self.scr_states[lane] = s
-                out.append((tuple(word), 0))
-            else:
-                out.append((tuple(int(o) for o in raw), 0))
-        self.lane_octets_sent = m + OCTETS_PER_CYCLE
-        return out
-
-    # -- bulk generation for long runs --------------------------------------
+        return [(tuple(octets.tolist()), int(np.packbits(ctrl, bitorder="little")[0]))
+                for octets, ctrl in self.emit(1, sync_request,
+                                              0 if lmfc_boundary else None)]
 
     def bulk_data(self, n_cycles: int) -> list[np.ndarray]:
-        """Emit ``n_cycles`` worth of data-phase octets per lane at once.
+        """Emit ``n_cycles`` worth of data-phase octets per lane.
 
-        Only legal in the data phase; identical to stepping cycle by
-        cycle (state threading included), just vectorized.
+        Only legal in the data phase; threads the payload position and the
+        scrambler states from one call to the next.
         """
         if self.phase != PHASE_DATA:
             raise RuntimeError("bulk_data is only valid in the data phase")
@@ -268,5 +251,5 @@ class TxLink:
                     self.scr_states[lane], raw)
             out.append(raw)
         self.lane_octets_sent = start + count
-        self._cache = [np.zeros(0, dtype=np.uint8)] * self.cfg.L
         return out
+

@@ -66,6 +66,13 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", config_path({"F": 3})])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flip", [[5, 28003], [0, -7]])
+    def test_mistyped_flip_exit_usage(self, config_path, flip):
+        rc = main(["simulate", "--config",
+                   config_path(channel={"error_positions": [flip]},
+                               sim={"duration_cycles": 1000})])
+        assert rc == EXIT_USAGE
+
     def test_skew_beyond_capacity_exit_protocol(self, config_path, tmp_path):
         rep = tmp_path / "rep.json"
         rc = main(["simulate", "--config",

@@ -342,7 +342,7 @@ class TestFaultPaths:
         link.run(200)
         assert link.rx.resync_count == 0
         assert link.rx.error_counts["disparity_error"] == 1
-        assert len(link.outputs[0]) > valid_before  # rx_valid kept running
+        assert len(link.outputs[0]) > valid_before  # valid output kept running
 
     def test_comma_in_data_phase_resyncs(self):
         link = self._synced_link()

@@ -5,15 +5,28 @@ import dataclasses
 import numpy as np
 import pytest
 
+from jesd204b_sim.codec8b10b import K_K, RD_NEG, decode_stream, serialize
 from jesd204b_sim.config import LinkConfig
 from jesd204b_sim.sim_harness import (ChannelSpec, SimConfigError, Simulation,
-                                      SysrefSpec, apply_bit_errors, apply_skew,
-                                      measure_latency_determinism,
+                                      SysrefSpec, measure_latency_determinism,
                                       run_multi_link, run_simulation)
 from jesd204b_sim.tx_model import PayloadSpec
 
 CFG = LinkConfig(L=2, F=4, K=32, scrambling=1)
 PAY = PayloadSpec(kind="random", seed=3, channels=16)
+IDLE = ChannelSpec().base_idle_octets
+
+
+def received(channel, duration):
+    """The run's report and the line symbols each lane received."""
+    sim = Simulation(CFG, payload=PAY, channel=channel, collect_received=True)
+    rep = sim.run(duration)
+    return rep, sim.received_symbols
+
+
+def first_comma(symbols):
+    octets, ctrl, *_ = decode_stream(symbols, RD_NEG)
+    return int(np.flatnonzero(ctrl & (octets == K_K))[0])
 
 
 class TestCleanRuns:
@@ -64,15 +77,14 @@ class TestSetupErrors:
 
 
 class TestSkew:
-    def test_apply_skew_zero_is_identity(self):
-        streams = [np.arange(16, dtype=np.uint8)] * 2
-        out = apply_skew(streams, [0, 0])
-        assert all((a == b).all() for a, b in zip(out, streams))
+    def test_zero_skew_adds_no_delay(self):
+        _, lanes = received(ChannelSpec(skew=[0, 0]), 100)
+        assert [first_comma(syms) for syms in lanes] == [IDLE, IDLE]
 
-    def test_apply_skew_delays_by_octets(self):
-        stream = np.arange(8, dtype=np.uint8) + 1
-        out = apply_skew([stream], [5], idle_octet=0)
-        assert out[0].tolist() == [0] * 5 + stream.tolist()
+    def test_skew_delays_first_comma_by_octets(self):
+        for skew in ([0, 5], [7, 2]):
+            _, lanes = received(ChannelSpec(skew=skew), 100)
+            assert [first_comma(syms) - IDLE for syms in lanes] == skew
 
     def test_lane_skew_shifts_ilas_start(self):
         sim0 = Simulation(CFG, payload=PAY, channel=ChannelSpec(skew=[0, 0]))
@@ -99,22 +111,40 @@ class TestSkew:
 
 class TestBitErrors:
     def test_rate_zero_is_identity(self):
-        bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        out, flips = apply_bit_errors(bits, rate=0.0)
-        assert (out == bits).all() and flips == []
+        rep, lanes = received(ChannelSpec(bit_error_rate=0.0, rng_seed=5), 1500)
+        _, clean = received(ChannelSpec(), 1500)
+        assert rep.flips_injected == 0 and rep.payload_match
+        assert all((a == b).all() for a, b in zip(lanes, clean))
 
     def test_explicit_positions_flip_exactly(self):
-        bits = np.zeros(64, dtype=np.uint8)
-        out, flips = apply_bit_errors(bits, positions=[3, 17, 17, 99])
-        assert flips == [3, 17, 17]  # out-of-range 99 dropped
-        assert out[3] == 1 and out[17] == 0  # 17 flipped twice, cancels
-        assert out.sum() == 1
+        # All flips land before the link leaves CGS, so the transmitter's
+        # output is the same and the line differs in exactly those bits.
+        positions = [(0, 3), (1, 17), (1, 17), (0, 40 * 30 + 9)]
+        rep, lanes = received(ChannelSpec(error_positions=positions), 40)
+        clean_rep, clean = received(ChannelSpec(), 40)
+        assert rep.t_sync_deassert == clean_rep.t_sync_deassert == -1
+        assert rep.flips_injected == 4  # the duplicate counts twice
+        diff = [np.flatnonzero(serialize(a) != serialize(b)).tolist()
+                for a, b in zip(lanes, clean)]
+        assert diff == [[3, 40 * 30 + 9], []]  # lane 1's two flips cancel
 
     def test_fixed_seed_reproducible(self):
-        bits = np.zeros(10_000, dtype=np.uint8)
-        _, f1 = apply_bit_errors(bits, rate=0.01, seed=5)
-        _, f2 = apply_bit_errors(bits, rate=0.01, seed=5)
-        assert f1 == f2 and len(f1) > 0
+        channel = ChannelSpec(bit_error_rate=1e-3, rng_seed=5)
+        rep1, lanes1 = received(channel, 500)
+        rep2, lanes2 = received(channel, 500)
+        _, other = received(dataclasses.replace(channel, rng_seed=6), 500)
+        assert rep1.flips_injected == rep2.flips_injected > 0
+        assert all((a == b).all() for a, b in zip(lanes1, lanes2))
+        assert any((a != b).any() for a, b in zip(lanes1, other))
+
+    def test_flip_on_missing_lane_is_config_error(self):
+        channel = ChannelSpec(error_positions=[(5, 28003)])
+        with pytest.raises(SimConfigError, match=r"lane\(s\) \[5\]"):
+            run_simulation(CFG, channel=channel, duration=1000)
+
+    def test_negative_flip_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ChannelSpec(error_positions=[(0, -7)])
 
     def test_cgs_flip_recovers_and_syncs(self):
         # One comma corrupted during group sync: the run restarts and the
