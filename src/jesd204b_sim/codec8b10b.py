@@ -335,16 +335,21 @@ def bit_align(bits: np.ndarray, search_window: int = 64
               ) -> tuple[int, np.ndarray]:
     """Recover symbol boundaries from a raw bitstream.
 
-    Scans the first ``2 * 10 * search_window`` bits for a comma, locks the
-    boundary phase there and returns ``(offset, symbols)`` where
-    ``offset`` is in 0..9 and the symbols start at the first boundary at
-    or after ``offset`` (partial leading bits are dropped).  Raises
-    :class:`NoCommaFound` when the window has no comma.
+    Scans the first ``2 * 10 * search_window`` bits for a comma, then
+    windows twice as long until the stream ends, so a long idle lead-in
+    costs time in proportion to its length.  Locks the boundary phase on
+    the first comma and returns ``(offset, symbols)`` where ``offset`` is
+    in 0..9 and the symbols start at the first boundary at or after
+    ``offset`` (partial leading bits are dropped).  Raises
+    :class:`NoCommaFound` when the stream has no comma.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    window = bits[: 2 * 10 * search_window]
-    positions = find_commas(window)
+    window = 2 * 10 * search_window
+    positions = find_commas(bits[:window])
+    while positions.size == 0 and window < bits.shape[0]:
+        window *= 2
+        positions = find_commas(bits[:window])
     if positions.size == 0:
-        raise NoCommaFound(f"no comma in the first {window.shape[0]} bits")
+        raise NoCommaFound(f"no comma in {bits.shape[0]} bits")
     offset = int(positions[0]) % 10
     return offset, pack_symbols(bits[offset:])

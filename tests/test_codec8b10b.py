@@ -178,6 +178,16 @@ class TestSerializeAndAlign:
         offset, back = bit_align(np.concatenate([junk, bits]))
         assert offset == shift
 
+    def test_comma_after_long_idle_lead_in(self):
+        # A skewed lane's capture starts with hundreds of idle symbols
+        # before its first comma.
+        idle, _ = encode_stream(np.zeros(600, np.uint8), np.zeros(600, bool), RD_NEG)
+        bits, syms = self._cgs_bits()
+        offset, back = bit_align(np.concatenate([np.ones(4, np.uint8),
+                                                 serialize(idle), bits]))
+        assert offset == 4
+        assert (back[600:] == syms).all()
+
     def test_comma_free_data_raises(self):
         # Rejection-sampling oracle: scan candidate data streams with an
         # independent pattern matcher until one provably comma-free
