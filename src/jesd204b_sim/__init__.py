@@ -24,7 +24,7 @@ from .codec8b10b import (Char, InvalidControlCode, NoCommaFound, bit_align,
 from .config import (ConfigError, ConstraintViolation, FieldOverflow,
                      IlasConfig, LinkConfig, ParseError, check_config,
                      compute_fchk, validate_config)
-from .rx_core import RxFsm, RxOutput, RxReceiver
+from .rx_core import RxFsm, RxReceiver
 from .sim_harness import (ChannelSpec, LatencySweep, SimConfigError,
                           SimReport, Simulation, SysrefSpec,
                           measure_latency_determinism, run_multi_link,
@@ -40,7 +40,7 @@ __all__ = [
     "ConfigError", "ConstraintViolation", "FieldOverflow", "IlasConfig",
     "LinkConfig", "ParseError", "check_config", "compute_fchk",
     "validate_config",
-    "RxFsm", "RxOutput", "RxReceiver",
+    "RxFsm", "RxReceiver",
     "ChannelSpec", "LatencySweep", "SimConfigError", "SimReport",
     "Simulation", "SysrefSpec", "measure_latency_determinism",
     "run_multi_link", "run_simulation",

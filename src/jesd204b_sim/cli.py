@@ -25,16 +25,17 @@ from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
 from .config import (ConfigError, IlasConfig, LinkConfig, ParseError,
                      validate_config)
 from .rx_core import RxReceiver
-from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, drive_receiver,
-                          measure_latency_determinism, pack_chars)
-from .tx_model import PayloadSpec, lane_payload_octets
+from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, _SegmentCheck,
+                          drive_receiver, measure_latency_determinism,
+                          pack_chars)
+from .tx_model import PayloadSpec
 
 EXIT_OK = 0
 EXIT_PROTOCOL = 1
 EXIT_USAGE = 2
 
 _SECTIONS = ("ilas", "channel", "payload", "sysref", "sim")
-_SIM_KEYS = ("duration_cycles", "fast")
+_SIM_KEYS = ("duration_cycles",)
 
 
 class NoSyncAchieved(RuntimeError):
@@ -107,11 +108,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, sections = parse_config(args.config)
     _apply_seed(sections, args.seed)
     duration = args.duration or sections["sim"].get("duration_cycles", 4096)
-    fast = sections["sim"].get("fast", True)
     sim = Simulation(cfg, sections.get("ilas"), sections.get("payload"),
                      sections.get("channel"), sections.get("sysref"),
                      collect_output=bool(args.dump_samples))
-    report = sim.run(duration, fast=fast)
+    report = sim.run(duration)
     _write_report(report.to_json(), args.report)
     if args.log:
         with open(args.log, "w", encoding="ascii") as fh:
@@ -169,23 +169,28 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
     return [lane[:n_octets] for lane in lanes]
 
 
-def decode_capture(cap: Capture, sysref: SysrefSpec | None = None):
-    """Replay a capture through the receiver as if live.
+def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
+                   payload: PayloadSpec | None = None
+                   ) -> tuple[RxReceiver, list[_SegmentCheck]]:
+    """Replay a capture through the receiver as if live, with ``sysref``.
 
-    Returns (receiver, output segments).  Raises :class:`NoSyncAchieved`
-    if group synchronization never completes.
+    Returns the receiver and one segment per release, holding its output
+    octets per lane.  With ``payload``, segment 0 is compared against
+    the generator from lane octet 0; where the payload stood at a later
+    release is unknown, so later segments are not compared.  Raises
+    :class:`NoSyncAchieved` if group synchronization never completes.
     """
     cfg = cap.config
     rx = RxReceiver(cfg)
     chars = _capture_chars(cap)
-    segments: list[list[list[np.ndarray]]] = []
+    segments: list[_SegmentCheck] = []
 
     def on_release(cycle: int) -> None:
-        segments.append([[] for _ in range(cfg.L)])
+        segments.append(_SegmentCheck(None if segments else payload, cfg.L, 0, True))
 
     def on_output(outs: list[np.ndarray]) -> None:
-        for parts, got in zip(segments[-1], outs):
-            parts.append(got)
+        for lane, got in enumerate(outs):
+            segments[-1].absorb(lane, got)
 
     n_cycles, _ = drive_receiver(rx, chars, sysref or SysrefSpec(),
                                  on_release, on_output)
@@ -193,9 +198,7 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None):
         raise NoSyncAchieved(
             f"no synchronization within {n_cycles} captured cycles "
             f"(fsm={rx.fsm.value})")
-    seg_arrays = [[np.concatenate(parts) if parts else np.zeros(0, np.uint8)
-                   for parts in seg] for seg in segments]
-    return rx, seg_arrays
+    return rx, segments
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -209,19 +212,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         if payload is not None and channels is None:
             channels = payload.channels
     try:
-        rx, segments = decode_capture(cap, sysref=sysref)
+        rx, segments = decode_capture(cap, sysref=sysref, payload=payload)
     except NoSyncAchieved as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    total = sum(lane.shape[0] for seg in segments for lane in seg)
-    mismatched = -1
-    if payload is not None and segments:
-        mismatched = 0
-        for lane, got in enumerate(segments[0]):
-            exp = lane_payload_octets(payload, cap.config.L, lane, 0, got.shape[0])
-            mismatched += int(np.count_nonzero(got != exp))
+    total = sum(sum(seg.off) for seg in segments)
+    mismatched = segments[0].mismatched if payload is not None and segments else -1
     if args.dump_samples and segments:
-        rows = sample_rows(segments[0], cap.config.L, channels or 1)
+        rows = sample_rows(segments[0].arrays(), cap.config.L, channels or 1)
         write_sample_csv(args.dump_samples, rows)
     if args.report:
         report = {

@@ -53,6 +53,7 @@ K_F = CONTROL_OCTETS["F"]
 # 7-bit comma patterns in transmission order (contained in K28.5/K28.7).
 COMMA_NEG = (0, 0, 1, 1, 1, 1, 1)
 COMMA_POS = (1, 1, 0, 0, 0, 0, 0)
+_COMMA_SEARCH_BITS = 1280  # first bit_align window: 128 symbols
 
 
 class InvalidControlCode(ValueError):
@@ -331,20 +332,18 @@ def find_commas(bits: np.ndarray) -> np.ndarray:
     return np.flatnonzero(m)
 
 
-def bit_align(bits: np.ndarray, search_window: int = 64
-              ) -> tuple[int, np.ndarray]:
+def bit_align(bits: np.ndarray) -> tuple[int, np.ndarray]:
     """Recover symbol boundaries from a raw bitstream.
 
-    Scans the first ``2 * 10 * search_window`` bits for a comma, then
-    windows twice as long until the stream ends, so a long idle lead-in
-    costs time in proportion to its length.  Locks the boundary phase on
-    the first comma and returns ``(offset, symbols)`` where ``offset`` is
-    in 0..9 and the symbols start at the first boundary at or after
-    ``offset`` (partial leading bits are dropped).  Raises
-    :class:`NoCommaFound` when the stream has no comma.
+    Searches windows of doubling length from ``_COMMA_SEARCH_BITS`` bits
+    for the first comma, locks the boundary phase there and returns
+    ``(offset, symbols)`` where ``offset`` is in 0..9 and the symbols
+    start at the first boundary at or after ``offset`` (partial leading
+    bits are dropped).  Raises :class:`NoCommaFound` when the stream has
+    no comma.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    window = 2 * 10 * search_window
+    window = _COMMA_SEARCH_BITS
     positions = find_commas(bits[:window])
     while positions.size == 0 and window < bits.shape[0]:
         window *= 2

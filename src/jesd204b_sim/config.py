@@ -112,11 +112,6 @@ class LinkConfig:
         """Octets per multiframe."""
         return self.F * self.K
 
-    @property
-    def multiframe_cycles(self) -> int:
-        """Link-clock cycles per multiframe."""
-        return self.fk // OCTETS_PER_CYCLE
-
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)
         d["scrambling"] = int(self.scrambling)

@@ -21,24 +21,23 @@ counter afterwards; crossing the configured threshold, seeing a control
 character in the data phase, or overflowing an elastic buffer re-enters
 CGS with the sync request asserted.
 
-For long steady-state stretches :meth:`RxReceiver.fast_forward` consumes
-packed character arrays in one vectorized pass with semantics
-identical to repeated :meth:`step` calls (the equivalence is asserted by
-the test suite); it refuses anything but clean data-phase traffic.
+For flag-free stretches of a released link :meth:`RxReceiver.fast_forward`
+consumes packed character arrays in one vectorized pass, leaving the
+receiver exactly as repeated :meth:`~RxReceiver.step_packed` calls would
+(the test suite asserts the equivalence).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import scrambler
-from .codec8b10b import K_A, K_K, K_Q, K_R, Char
+from .codec8b10b import K_A, K_K, K_Q, K_R
 from .config import (ERROR_WINDOW_CYCLES, ILAS_CONFIG_LEN, ILAS_MULTIFRAMES,
                      OCTETS_PER_CYCLE, POLICY_STRICT, IlasConfig, LinkConfig,
                      validate_config)
@@ -100,7 +99,7 @@ class LaneState:
     __slots__ = (
         "idx", "rotation", "rot_candidate", "run", "pend", "rot_dropped",
         "mode", "aligned_count", "mf_count", "mf_pos", "cfg_octets",
-        "markers_ok", "ilas_ok", "dsc_state", "buffer", "write_abs",
+        "markers_ok", "ilas_ok", "dsc_state", "buffer",
     )
 
     def __init__(self, idx: int):
@@ -122,34 +121,11 @@ class LaneState:
         self.ilas_ok = False
         self.dsc_state = scrambler.ALL_ONES
         self.buffer: deque[int] = deque()
-        self.write_abs = 0
 
     @property
     def ready(self) -> bool:
         """Eligible for release: sequence validated and data in the buffer."""
-        return self.ilas_ok and self.write_abs >= OCTETS_PER_CYCLE
-
-
-@dataclass
-class RxOutput:
-    """Receiver output for one cycle: a valid-qualified word per lane."""
-
-    valid: bool
-    words: tuple[tuple[int, int, int, int], ...] | None
-    sync_request: bool
-    fsm: RxFsm
-    lmfc_phase: int
-
-
-def _pack(c: Char) -> int:
-    v = c.octet & 0xFF
-    if c.is_control:
-        v |= _CTRL
-    if c.not_in_table:
-        v |= _NIT
-    if c.disparity_error:
-        v |= _DERR
-    return v
+        return self.ilas_ok and len(self.buffer) >= OCTETS_PER_CYCLE
 
 
 _K_CLEAN = K_K | _CTRL
@@ -189,26 +165,18 @@ class RxReceiver:
         self.t_sync_deassert = -1
         self.t_synced = -1
         self.t_release = -1
-        self.t_first_valid = -1
         self.release_lmfc_phase = -1
 
     # -- public stepping ----------------------------------------------------
 
-    def step(self, lane_chars: Sequence[Sequence[Char]], sysref: bool = False,
-             phy_ready: bool = True) -> RxOutput:
-        """Advance one cycle on four decoded characters per lane."""
-        if len(lane_chars) != self.cfg.L:
-            raise ValueError(f"expected {self.cfg.L} lanes, got {len(lane_chars)}")
-        words = []
-        for chars in lane_chars:
-            if len(chars) != OCTETS_PER_CYCLE:
-                raise ValueError("each lane word is exactly 4 characters")
-            words.append(tuple(_pack(c) for c in chars))
-        return self.step_packed(words, sysref, phy_ready)
-
     def step_packed(self, words: Sequence[tuple[int, int, int, int]],
-                    sysref: bool = False, phy_ready: bool = True) -> RxOutput:
-        """Advance one cycle on packed characters (octet | flags << 8)."""
+                    sysref: bool = False, phy_ready: bool = True
+                    ) -> tuple[tuple[int, int, int, int], ...] | None:
+        """Advance one cycle on packed characters (octet | flags << 8).
+
+        Returns one output word of four octets per lane while the
+        buffers are released, otherwise None.
+        """
         self.cycle += 1
         cycle = self.cycle
         boundary = self.lmfc.step(sysref)
@@ -220,7 +188,7 @@ class RxReceiver:
         fsm = self.fsm
         if fsm is RxFsm.RESET:
             self.fsm = RxFsm.WAIT_FOR_PHY
-            return self._idle_output()
+            return None
 
         if fsm is RxFsm.WAIT_FOR_PHY:
             self._phy_run = self._phy_run + 1 if phy_ready else 0
@@ -228,21 +196,21 @@ class RxReceiver:
                 self.fsm = RxFsm.CGS
                 self.t_cgs_enter = cycle
                 self._event(None, "cgs_enter", "")
-            return self._idle_output()
+            return None
 
         if fsm is RxFsm.CGS:
             self._cgs_cycle(words, boundary)
-            return self._idle_output()
+            return None
 
         # ILAS or SYNCED: run lane datapaths, then fault checks and release.
         fault = self._lanes_cycle(words)
         if fault:
             self._fault(*fault)
-            return self._idle_output()
+            return None
         if self._window_tripped():
             self._fault(None, "error_threshold",
                         f"window_errors={len(self._err_cycles)}")
-            return self._idle_output()
+            return None
 
         if self.fsm is RxFsm.ILAS and all(l.ilas_ok for l in self.lanes):
             self.fsm = RxFsm.SYNCED
@@ -250,36 +218,29 @@ class RxReceiver:
                 self.t_synced = cycle
             self._event(None, "all_lanes_ready", "")
 
-        out_words = None
-        if self.fsm is RxFsm.SYNCED:
-            if not self.released and all(l.ready for l in self.lanes):
-                ph = self.lmfc.phase
-                if self.lmfc.locked and ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
-                    self.released = True
-                    if self.t_release < 0:  # measurements track the first release
-                        self.t_release = cycle
-                        self.release_lmfc_phase = ph
-                        self.t_first_valid = cycle
-                    self._event(None, "release", f"lmfc_phase={ph}")
-            if self.released:
-                out_words = []
-                for lane in self.lanes:
-                    if len(lane.buffer) < OCTETS_PER_CYCLE:
-                        self.error_counts["buffer_underflow"] += 1
-                        self._fault(lane.idx, "buffer_underflow",
-                                    f"fill={len(lane.buffer)}")
-                        return self._idle_output()
-                    out_words.append(tuple(lane.buffer.popleft()
-                                           for _ in range(OCTETS_PER_CYCLE)))
-                out_words = tuple(out_words)
-
-        return RxOutput(out_words is not None, out_words, self.sync_request,
-                        self.fsm, self.lmfc.phase)
+        if self.fsm is not RxFsm.SYNCED:
+            return None
+        if not self.released and all(l.ready for l in self.lanes):
+            ph = self.lmfc.phase
+            if self.lmfc.locked and ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
+                self.released = True
+                if self.t_release < 0:  # measurements track the first release
+                    self.t_release = cycle
+                    self.release_lmfc_phase = ph
+                self._event(None, "release", f"lmfc_phase={ph}")
+        if not self.released:
+            return None
+        out_words = []
+        for lane in self.lanes:
+            if len(lane.buffer) < OCTETS_PER_CYCLE:
+                self.error_counts["buffer_underflow"] += 1
+                self._fault(lane.idx, "buffer_underflow", f"fill={len(lane.buffer)}")
+                return None
+            out_words.append(tuple(lane.buffer.popleft()
+                                   for _ in range(OCTETS_PER_CYCLE)))
+        return tuple(out_words)
 
     # -- internals -----------------------------------------------------------
-
-    def _idle_output(self) -> RxOutput:
-        return RxOutput(False, None, self.sync_request, self.fsm, self.lmfc.phase)
 
     def _event(self, lane: int | None, name: str, detail: str) -> None:
         self.events.append((self.cycle, lane, name, detail))
@@ -464,7 +425,6 @@ class RxReceiver:
         else:
             for v in word:
                 buf.append(v & 0xFF)
-        lane.write_abs += OCTETS_PER_CYCLE
         if len(buf) > self.cfg.buffer_depth:
             self.error_counts["buffer_overflow"] += 1
             return (lane.idx, "buffer_overflow", f"fill={len(buf)}")
@@ -486,31 +446,17 @@ class RxReceiver:
 
     def fast_forward(self, lane_chars: list[np.ndarray], n_cycles: int
                      ) -> list[np.ndarray]:
-        """Consume ``n_cycles`` of clean data-phase input in one pass.
+        """Consume ``n_cycles`` of flag-free data-phase input in one pass.
 
-        ``lane_chars[i]`` holds the next ``4 * n_cycles`` characters of
-        lane i in the packed layout :meth:`step_packed` takes.  Requires
-        a released, synchronized link and perfectly clean traffic (no
-        flag bits); raises ValueError otherwise (callers fall back to
-        stepping).  Returns the output octets per lane.  State advances
-        exactly as if :meth:`step_packed` had been called ``n_cycles``
-        times.
+        ``lane_chars[i]`` holds exactly the next ``4 * n_cycles`` packed
+        characters of lane i.  Unchecked precondition: the link is SYNCED
+        and released, no character here or in a lane's rotation residue
+        carries a flag, and SYSREF pulses in the span fall on multiframe
+        boundaries.  Reads then match writes, so no buffer fault can
+        occur, and state advances exactly as ``n_cycles`` calls of
+        :meth:`step_packed` would.  Returns the output octets per lane.
         """
-        if self.fsm is not RxFsm.SYNCED or not self.released:
-            raise ValueError("fast_forward requires a released SYNCED link")
         n_oct = n_cycles * OCTETS_PER_CYCLE
-        for i in range(self.cfg.L):
-            if lane_chars[i].shape[0] != n_oct:
-                raise ValueError("input length must be 4 * n_cycles")
-            if int(lane_chars[i].max(initial=0)) > 0xFF:
-                raise ValueError("fast_forward requires clean data-phase input")
-            if any(v & (_CTRL | _FLAGS) for v in self.lanes[i].pend):
-                raise ValueError("pending residue is not clean data")
-            # fill is invariant here (reads match writes), so capacity only
-            # needs checking once up front
-            if len(self.lanes[i].buffer) > self.cfg.buffer_depth:
-                raise ValueError("elastic buffer already over capacity")
-
         outputs = []
         for lane in self.lanes:
             residue = np.array([v & 0xFF for v in lane.pend], dtype=np.uint8)
@@ -530,7 +476,6 @@ class RxReceiver:
             lane.buffer = deque(int(v) for v in combined[n_oct:])
             lane.pend = deque(int(v) for v in leftover)
             lane.aligned_count += n_oct
-            lane.write_abs += n_oct
 
         self.cycle += n_cycles
         self.lmfc.phase = (self.lmfc.phase

@@ -285,10 +285,11 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
     :func:`pack_chars`; cycles are numbered by the receiver's own clock,
     which also places the SYSREF pulses.  With ``fast``, every flag-free
     span of a released, synchronized link goes through
-    :meth:`RxReceiver.fast_forward`.  Everything else steps: bring-up,
-    each flagged cycle and the cycle after it (a flagged octet can wait
-    one cycle in a lane's rotation residue), and the first cycle of the
-    call (the residue may hold a flagged octet from the previous call).
+    :meth:`RxReceiver.fast_forward`.  Everything else steps, which
+    establishes that method's precondition: bring-up, each flagged cycle
+    and the cycle after it (a flagged octet can wait one cycle in a
+    lane's rotation residue), and the first cycle of the call (the
+    residue may hold a flagged octet from the previous call).
 
     Released output is reported in order: ``on_release(cycle)`` opens an
     output segment, ``on_output(per-lane octets)`` appends to the open
@@ -336,8 +337,8 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
             flush()
             if rx.released:
                 on_release(cycle)
-        if out.valid:
-            for acc, word in zip(stepped_out, out.words):
+        if out is not None:
+            for acc, word in zip(stepped_out, out):
                 acc.extend(word)
         i += 1
         if stop_on_sync_change and rx.sync_request != sync_before:
@@ -347,9 +348,10 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
 
 
 class _SegmentCheck:
-    """Incremental comparison of one output segment against the generator."""
+    """One output segment, compared as it arrives against the generator
+    from lane octet ``m0`` (unless ``payload`` is None), kept if ``store``."""
 
-    def __init__(self, payload: PayloadSpec, lanes: int, m0: int, store: bool):
+    def __init__(self, payload: PayloadSpec | None, lanes: int, m0: int, store: bool):
         self.payload = payload
         self.lanes = lanes
         self.m0 = m0
@@ -362,11 +364,12 @@ class _SegmentCheck:
     def absorb(self, lane: int, got: np.ndarray) -> None:
         if got.shape[0] == 0:
             return
-        exp = lane_payload_octets(self.payload, self.lanes, lane,
-                                  self.m0 + self.off[lane], got.shape[0])
+        if self.payload is not None:
+            exp = lane_payload_octets(self.payload, self.lanes, lane,
+                                      self.m0 + self.off[lane], got.shape[0])
+            self.compared += got.shape[0]
+            self.mismatched += int(np.count_nonzero(got != exp))
         self.off[lane] += got.shape[0]
-        self.compared += got.shape[0]
-        self.mismatched += int(np.count_nonzero(got != exp))
         if self.store:
             self.stored[lane].append(got)
 
@@ -601,7 +604,7 @@ class Simulation:
             t_sync_deassert=rx.t_sync_deassert,
             t_synced=rx.t_synced,
             t_release=rx.t_release,
-            t_first_valid=rx.t_first_valid,
+            t_first_valid=rx.t_release,
             tx_data_start_cycle=t_data,
             release_lmfc_phase=rx.release_lmfc_phase,
             sync_frames_from_sync_deassert=frames(rx.t_synced, rx.t_sync_deassert),

@@ -113,4 +113,4 @@ def test_stepped_fast_and_replay_agree(index):
     assert rx.t_release == fast_report["t_release"]
     assert len(segments) == len(fast.output_segments)
     for got, want in zip(segments, fast.output_segments):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, b) for a, b in zip(got.arrays(), want))

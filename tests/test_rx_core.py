@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jesd204b_sim.codec8b10b import K_A, K_K, K_Q, Char
+from jesd204b_sim.codec8b10b import K_A, K_K, K_Q
 from jesd204b_sim.config import POLICY_STRICT, IlasConfig, LinkConfig
 from jesd204b_sim.rx_core import (CTRL_FLAG, DERR_FLAG, NIT_FLAG, Lmfc,
                                   RxFsm, RxReceiver)
@@ -65,44 +65,11 @@ class MiniLink:
                 rx_words.append(tuple(word))
             out = self.rx.step_packed(rx_words, pulse, True)
             self.fsm_trace.append(self.rx.fsm)
-            if out.valid:
+            if out is not None:
                 for lane in range(cfg.L):
-                    self.outputs[lane].extend(out.words[lane])
+                    self.outputs[lane].extend(out[lane])
             self.sync_seen = self.rx.sync_request
         return self.rx
-
-
-class TestCharInterface:
-    """The public step() takes decoded characters; it must mirror the
-    packed form exactly."""
-
-    def test_char_and_packed_steps_agree(self):
-        rx_a = RxReceiver(CFG)
-        rx_b = RxReceiver(CFG)
-        link = MiniLink(CFG, rx=rx_a)
-        link.run(400)
-        # replay the identical character stream through the Char API
-        for t in range(rx_a.cycle + 1):
-            pulse = t >= 8 and (t - 8) % CFG.fk == 0
-            words = []
-            for lane in range(CFG.L):
-                chars = []
-                for k in range(4):
-                    v = link._received(lane, 4 * t + k)
-                    chars.append(Char(v & 0xFF, bool(v & CTRL_FLAG),
-                                      bool(v & NIT_FLAG), bool(v & DERR_FLAG)))
-                words.append(chars)
-            rx_b.step(words, pulse, True)
-        assert rx_b.fsm is rx_a.fsm is RxFsm.SYNCED
-        assert rx_b.t_release == rx_a.t_release
-        assert rx_b.events == rx_a.events
-
-    def test_shape_validation(self):
-        rx = RxReceiver(CFG)
-        with pytest.raises(ValueError, match="lanes"):
-            rx.step([[Char(0)] * 4])
-        with pytest.raises(ValueError, match="4 characters"):
-            rx.step([[Char(0)] * 3, [Char(0)] * 4])
 
 
 class TestResetAndFsm:
