@@ -23,7 +23,7 @@ from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
                        Capture, read_capture, sample_rows, write_capture,
                        write_sample_csv)
 from .config import (ConfigError, IlasConfig, LinkConfig, ParseError,
-                     validate_config)
+                     check_int, validate_config)
 from .rx_core import RxReceiver
 from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, _SegmentCheck,
                           drive_receiver, measure_latency_determinism,
@@ -58,6 +58,9 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
     top = {}
     for key, value in data.items():
         if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ParseError(f"section {key!r} must be a JSON object, "
+                                 f"got {value!r}")
             sections[key] = value
         else:
             top[key] = value
@@ -85,6 +88,8 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
         unknown = sorted(set(sections["sim"]) - set(_SIM_KEYS))
         if unknown:
             raise ParseError(f"unknown sim key(s): {', '.join(unknown)}")
+        if "duration_cycles" in sections["sim"]:
+            check_int("sim.duration_cycles", sections["sim"]["duration_cycles"], 1)
         out["sim"] = sections["sim"]
     return cfg, out
 
@@ -107,7 +112,8 @@ def _write_report(report_json: str, path: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, sections = parse_config(args.config)
     _apply_seed(sections, args.seed)
-    duration = args.duration or sections["sim"].get("duration_cycles", 4096)
+    duration = (args.duration if args.duration is not None
+                else sections["sim"].get("duration_cycles", 4096))
     sim = Simulation(cfg, sections.get("ilas"), sections.get("payload"),
                      sections.get("channel"), sections.get("sysref"),
                      collect_output=bool(args.dump_samples))
@@ -131,7 +137,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg, sections = parse_config(args.config)
     _apply_seed(sections, args.seed)
-    duration = args.cycles or sections["sim"].get("duration_cycles", 2048)
+    duration = (args.cycles if args.cycles is not None
+                else sections["sim"].get("duration_cycles", 2048))
     sim = Simulation(cfg, sections.get("ilas"), sections.get("payload"),
                      sections.get("channel"), sections.get("sysref"),
                      collect_received=True)

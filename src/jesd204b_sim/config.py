@@ -16,6 +16,7 @@ encoding when deriving an image from a :class:`LinkConfig`.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -73,6 +74,25 @@ class ParseError(ValueError):
     """Malformed or unknown content in a JSON config file."""
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value: Any, lo: int | None = None,
+              hi: int | None = None) -> None:
+    """Raise :class:`ParseError` naming ``name`` unless ``value`` is an
+    integer in ``lo..hi`` (a bound of None leaves that side open)."""
+    if _is_int(value) and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return
+    if hi is not None:
+        allowed = f"an integer in {lo}..{hi}"
+    elif lo is not None:
+        allowed = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+    else:
+        allowed = "an integer"
+    raise ParseError(f"{name}: got {value!r}, allowed {allowed}")
+
+
 @dataclass
 class LinkConfig:
     """Static parameters of one link.
@@ -98,6 +118,8 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         self.scrambling = bool(self.scrambling)
+        if not (_is_int(self.F) and _is_int(self.K)):
+            return  # check_config reports them; nothing derives from them
         if self.buffer_depth is None:
             self.buffer_depth = 2 * self.F * self.K
         if self.release_offset is None:
@@ -136,6 +158,9 @@ _RANGES = {
     "F": (4, 32),
     "K": (1, 32),
 }
+# Integer fields whose bounds depend on F*K or are one-sided.
+_INT_FIELDS = ("buffer_depth", "cgs_threshold", "error_threshold",
+               "stability_cycles", "release_offset")
 
 
 def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
@@ -147,10 +172,16 @@ def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
 
     for attr, (lo, hi) in _RANGES.items():
         v = getattr(cfg, attr)
-        if not (isinstance(v, int) and lo <= v <= hi):
+        if not (_is_int(v) and lo <= v <= hi):
             bad(f"{attr}-range", v, f"{lo}..{hi}")
+    for attr in _INT_FIELDS:
+        v = getattr(cfg, attr)
+        if not _is_int(v) and v is not None:  # None: F or K is mistyped
+            bad(f"{attr.replace('_', '-')}-type", v, "an integer")
+    if not all(_is_int(getattr(cfg, attr)) for attr in (*_RANGES, *_INT_FIELDS)):
+        return out  # the rules below compare integers
 
-    if isinstance(cfg.F, int) and cfg.F % 4 != 0:
+    if cfg.F % 4 != 0:
         bad("F-multiple-of-4", cfg.F, "F mod 4 == 0")
 
     fk = cfg.F * cfg.K

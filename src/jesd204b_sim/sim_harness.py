@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +46,8 @@ from . import codec8b10b as codec
 # Unused here; the benchmark's tracer looks the scalar codec forms up in
 # this module, so they stay importable from it.
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
-from .config import IlasConfig, LinkConfig, ParseError, validate_config
+from .config import (IlasConfig, LinkConfig, ParseError, check_int,
+                     validate_config)
 from .rx_core import CTRL_FLAG, DERR_FLAG, NIT_FLAG, RxFsm, RxReceiver
 from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
 
@@ -90,19 +92,33 @@ class ChannelSpec:
     idle_octet: int = 0x00
 
     def __post_init__(self) -> None:
+        rate = self.bit_error_rate
+        if not (isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+                and 0 <= rate <= 1):
+            raise ParseError(f"channel.bit_error_rate: got {rate!r}, "
+                             "allowed a number in [0, 1]")
+        check_int("channel.rng_seed", self.rng_seed, 0)
+        # The idle prefix must outlast receiver startup (reset plus the
+        # PHY-ready gate, 6 cycles) or the lane cannot observe the
+        # idle-to-comma transition its octet rotation anchors on.
+        check_int("channel.base_idle_octets", self.base_idle_octets, 24)
+        check_int("channel.idle_octet", self.idle_octet, 0, 0xFF)
+        for name in ("skew", "error_positions"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise ParseError(f"channel.{name}: got {value!r}, allowed a list")
+        for s in self.skew or ():
+            check_int("channel.skew", s, 0)
+        for pos in self.error_positions or ():
+            if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
+                raise ParseError(f"channel.error_positions: got {pos!r}, "
+                                 "allowed [lane, bit] pairs")
+            check_int("channel.error_positions lane", pos[0], 0)
+            check_int("channel.error_positions bit", pos[1], 0)
+        if self.error_positions is not None:
+            self.error_positions = [tuple(pos) for pos in self.error_positions]
         if self.bit_error_rate and self.error_positions:
             raise ValueError("bit_error_rate and error_positions are mutually exclusive")
-        if self.bit_error_rate < 0 or self.bit_error_rate > 1:
-            raise ValueError("bit_error_rate must be in [0, 1]")
-        if self.base_idle_octets < 24:
-            # The idle prefix must outlast receiver startup (reset plus the
-            # PHY-ready gate, 6 cycles) or the lane cannot observe the
-            # idle-to-comma transition its octet rotation anchors on.
-            raise ValueError("base_idle_octets must be at least 24")
-        if self.skew is not None and any(s < 0 for s in self.skew):
-            raise ValueError("skew must be non-negative")
-        if any(bit < 0 for _, bit in self.error_positions or ()):
-            raise ValueError("error_positions bit indices must be non-negative")
 
     def lane_skews(self, lanes: int) -> list[int]:
         if self.skew is None:
@@ -126,9 +142,6 @@ class ChannelSpec:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ParseError(f"unknown channel key(s): {', '.join(unknown)}")
-        if "error_positions" in data and data["error_positions"] is not None:
-            data = dict(data)
-            data["error_positions"] = [tuple(p) for p in data["error_positions"]]
         return cls(**data)
 
 
@@ -149,8 +162,11 @@ class SysrefSpec:
     tx_phase_offset_octets: int = 0
 
     def __post_init__(self) -> None:
-        if self.period_multiframes is not None and self.period_multiframes < 1:
-            raise ValueError("period_multiframes must be >= 1 or None")
+        if self.first_cycle is not None:
+            check_int("sysref.first_cycle", self.first_cycle, 0)
+        if self.period_multiframes is not None:
+            check_int("sysref.period_multiframes", self.period_multiframes, 1)
+        check_int("sysref.tx_phase_offset_octets", self.tx_phase_offset_octets)
         if self.tx_phase_offset_octets % OCTETS_PER_CYCLE:
             raise ValueError("tx_phase_offset_octets must be a multiple of 4")
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import scrambler
 from .codec8b10b import K_A, K_K, K_Q, K_R
 from .config import (ILAS_MULTIFRAMES, OCTETS_PER_CYCLE, IlasConfig,
-                     LinkConfig, ParseError, validate_config)
+                     LinkConfig, ParseError, check_int, validate_config)
 
 PHASE_CGS = "CGS"
 PHASE_ILAS = "ILAS"
@@ -58,8 +58,10 @@ class PayloadSpec:
     def __post_init__(self) -> None:
         if self.kind not in PAYLOAD_KINDS:
             raise ValueError(f"unknown payload kind {self.kind!r}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
+        check_int("payload.seed", self.seed, 0, 2**64 - 2)  # seed + 1 is a uint64
+        check_int("payload.channels", self.channels, 1)
+        for name in ("amplitude", "period", "dc_offset", "step", "channel_offset"):
+            check_int(f"payload.{name}", getattr(self, name))
         if self.kind == "sine" and self.period < 2:
             raise ValueError("sine period must be >= 2 samples")
 

@@ -73,6 +73,34 @@ class TestSimulateCommand:
                                sim={"duration_cycles": 1000})])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"buffer_depth": "64"}, "buffer-depth"),
+        ({"cgs_threshold": "4"}, "cgs-threshold"),
+        ({"release_offset": 1.5}, "release-offset"),
+        ({"F": "4"}, "F-range"),
+        ({"channel": {"idle_octet": 300}}, "idle_octet"),
+        ({"channel": [1]}, "channel"),
+        ({"channel": {"bit_error_rate": "0.1"}}, "bit_error_rate"),
+        ({"channel": {"skew": [1.5, 2]}}, "skew"),
+        ({"channel": {"error_positions": [5]}}, "error_positions"),
+        ({"payload": {"channels": "2"}}, "channels"),
+        ({"payload": {"seed": -2}}, "seed"),
+        ({"sysref": {"first_cycle": "8"}}, "first_cycle"),
+        ({"sim": 5}, "sim"),
+        ({"sim": {"duration_cycles": "100"}}, "duration_cycles"),
+    ])
+    def test_malformed_value_exit_usage_naming_field(self, config_path, capsys,
+                                                     overrides, field):
+        rc = main(["simulate", "--config", config_path(overrides)])
+        assert rc == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "gen"])
+    def test_zero_cycles_exit_usage(self, config_path, tmp_path, command):
+        argv = {"simulate": ["--duration", "0"],
+                "gen": ["--cycles", "0", "--out", str(tmp_path / "cap.txt")]}
+        assert main([command, "--config", config_path(), *argv[command]]) == EXIT_USAGE
+
     def test_skew_beyond_capacity_exit_protocol(self, config_path, tmp_path):
         rep = tmp_path / "rep.json"
         rc = main(["simulate", "--config",
