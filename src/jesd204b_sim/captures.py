@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ CAPTURE_FORMATS = (FORMAT_SYMBOL10, FORMAT_OCTET_FLAG)
 SAMPLE_CSV_HEADER = "sample_index,channel,value"
 
 _MAGIC = "# jesd204b-sim capture v1"
+_SYMBOL_ROW = re.compile(r"[01]{10}")
+_OCTET_ROW = re.compile(r"[0-9A-Fa-f]{2} [KD]")
+_SYMBOL_WEIGHTS = 1 << np.arange(9, -1, -1, dtype=np.uint16)
 
 
 @dataclass
@@ -113,25 +117,41 @@ def read_capture(path: str) -> Capture:
         raise ParseError(f"expected {lanes} lane sections, found {len(lane_lines)}")
 
     if fmt == FORMAT_SYMBOL10:
-        symbols = []
-        for rows in lane_lines:
-            try:
-                symbols.append(np.array([int(r, 2) for r in rows], dtype=np.uint16))
-            except ValueError as exc:
-                raise ParseError(f"bad symbol line: {exc}") from exc
-        return Capture(fmt, cfg, seed, symbols=symbols)
+        return Capture(fmt, cfg, seed, symbols=[
+            _symbol_rows(lane, rows) for lane, rows in enumerate(lane_lines)])
     chars = []
-    for rows in lane_lines:
+    for lane, rows in enumerate(lane_lines):
         octets = np.zeros(len(rows), dtype=np.uint8)
         ctrl = np.zeros(len(rows), dtype=bool)
         for k, row in enumerate(rows):
-            parts = row.split()
-            if len(parts) != 2 or parts[1] not in ("K", "D"):
-                raise ParseError(f"bad octet_flag line {row!r}")
-            octets[k] = int(parts[0], 16)
-            ctrl[k] = parts[1] == "K"
+            if not _OCTET_ROW.fullmatch(row):
+                raise ParseError(f"lane {lane} row {k}: expected two hex digits, "
+                                 f"a space and K or D, got {row!r}")
+            octets[k] = int(row[:2], 16)
+            ctrl[k] = row[3] == "K"
         chars.append((octets, ctrl))
     return Capture(fmt, cfg, seed, chars=chars)
+
+
+def _symbol_rows(lane: int, rows: list[str]) -> np.ndarray:
+    """Symbols of one lane's rows, each exactly 10 binary digits.
+
+    Joined with newlines, well-formed rows are an (n, 11) byte array
+    whose last column is all newlines, so one vectorized pass both
+    checks and converts them.
+    """
+    n = len(rows)
+    if n == 0:
+        return np.zeros(0, dtype=np.uint16)
+    raw = np.frombuffer(("\n".join(rows) + "\n").encode("ascii"), dtype=np.uint8)
+    if raw.shape[0] == 11 * n:
+        table = raw.reshape(n, 11)
+        digits = table[:, :10]
+        # '0' | 1 == '1' | 1 == '1'; no other byte maps there.
+        if (table[:, 10] == ord("\n")).all() and ((digits | 1) == ord("1")).all():
+            return ((digits & 1) * _SYMBOL_WEIGHTS).sum(axis=1, dtype=np.uint16)
+    k = next(k for k, row in enumerate(rows) if not _SYMBOL_ROW.fullmatch(row))
+    raise ParseError(f"lane {lane} row {k}: expected 10 binary digits, got {rows[k]!r}")
 
 
 def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,

@@ -219,6 +219,22 @@ class TestGenDecodeRoundTrip:
         cap.write_text(text)
         assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("fmt,row", [
+        ("symbol10", "0101"), ("symbol10", "1_0"), ("symbol10", "+1"),
+        ("symbol10", "11111111111"), ("octet_flag", "1FF D"),
+        ("octet_flag", "-1 D")])
+    def test_malformed_capture_row_named(self, config_path, tmp_path, capsys,
+                                         fmt, row):
+        cap = tmp_path / "cap.txt"
+        main(["gen", "--config", config_path(), "--out", str(cap),
+              "--format", fmt, "--cycles", "400"])
+        lines = cap.read_text().splitlines()
+        lines[lines.index("# lane 1") + 1 + 5] = row
+        cap.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
+        assert "lane 1 row 5" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_deterministic_exit_zero(self, config_path, tmp_path):
