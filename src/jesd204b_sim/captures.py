@@ -39,7 +39,6 @@ SAMPLE_CSV_HEADER = "sample_index,channel,value"
 _MAGIC = "# jesd204b-sim capture v1"
 _SYMBOL_ROW = re.compile(r"[01]{10}")
 _OCTET_ROW = re.compile(r"[0-9A-Fa-f]{2} [KD]")
-_SYMBOL_WEIGHTS = 1 << np.arange(9, -1, -1, dtype=np.uint16)
 
 
 @dataclass
@@ -146,10 +145,10 @@ def _symbol_rows(lane: int, rows: list[str]) -> np.ndarray:
     raw = np.frombuffer(("\n".join(rows) + "\n").encode("ascii"), dtype=np.uint8)
     if raw.shape[0] == 11 * n:
         table = raw.reshape(n, 11)
-        digits = table[:, :10]
-        # '0' | 1 == '1' | 1 == '1'; no other byte maps there.
-        if (table[:, 10] == ord("\n")).all() and ((digits | 1) == ord("1")).all():
-            return ((digits & 1) * _SYMBOL_WEIGHTS).sum(axis=1, dtype=np.uint16)
+        bits = table[:, :10] - ord("0")  # any byte but '0' or '1' wraps to >= 2
+        if (table[:, 10] == ord("\n")).all() and bits.max() <= 1:
+            packed = np.packbits(bits, axis=1)  # bits 9..2, then bits 1..0 << 6
+            return (packed[:, 0].astype(np.uint16) << 2) | (packed[:, 1] >> 6)
     k = next(k for k, row in enumerate(rows) if not _SYMBOL_ROW.fullmatch(row))
     raise ParseError(f"lane {lane} row {k}: expected 10 binary digits, got {rows[k]!r}")
 
