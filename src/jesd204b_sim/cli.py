@@ -22,8 +22,8 @@ from . import codec8b10b as codec
 from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
                        Capture, read_capture, sample_rows, write_capture,
                        write_sample_csv)
-from .config import (ConfigError, IlasConfig, LinkConfig, ParseError,
-                     check_int, validate_config)
+from .config import (ILAS_FIELD_LAYOUT, ConfigError, IlasConfig, LinkConfig,
+                     ParseError, check_int, validate_config)
 from .rx_core import RxReceiver
 from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, _SegmentCheck,
                           drive_receiver, measure_latency_determinism,
@@ -76,6 +76,8 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
         unknown = sorted(set(sections["ilas"]) - known)
         if unknown:
             raise ParseError(f"unknown ilas key(s): {', '.join(unknown)}")
+        for name, value in sections["ilas"].items():
+            check_int(f"ilas.{name}", value, 0, (1 << ILAS_FIELD_LAYOUT[name][2]) - 1)
         base = IlasConfig.from_link_config(cfg)
         out["ilas"] = dataclasses.replace(base, **sections["ilas"])
     if "channel" in sections:

@@ -86,6 +86,7 @@ class TestSimulateCommand:
         ({"payload": {"channels": "2"}}, "channels"),
         ({"payload": {"seed": -2}}, "seed"),
         ({"sysref": {"first_cycle": "8"}}, "first_cycle"),
+        ({"ilas": {"did": "5"}}, "ilas.did"),
         ({"sim": 5}, "sim"),
         ({"sim": {"duration_cycles": "100"}}, "duration_cycles"),
     ])
