@@ -33,10 +33,14 @@ for i, s in enumerate(syms[:2000]):
 print(f"  decode of the first 2000 symbols: {errors} mismatches")
 
 print("\n=== Comma alignment from an arbitrary bit phase ===")
+# A deserializer hands over 10-bit words at whatever bit phase it locked
+# to; bit_align finds the comma and regroups the words on its boundary.
 comma_syms, _ = encode_stream(np.full(32, 0xBC, np.uint8), np.ones(32, bool))
 stream = np.concatenate([serialize(comma_syms), bits])
 for shift in (0, 3, 7):
     shifted = np.concatenate([rng.integers(0, 2, shift).astype(np.uint8), stream])
-    offset, recovered = bit_align(shifted)
+    n_words = shifted.shape[0] // 10
+    words = shifted[: 10 * n_words].reshape(n_words, 10) @ (1 << np.arange(9, -1, -1))
+    offset, recovered = bit_align(words)
     print(f"  injected shift {shift}: recovered offset {offset}, "
           f"first symbol {recovered[0]:010b}")

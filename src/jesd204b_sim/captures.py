@@ -1,18 +1,21 @@
 """Capture files and decoded-sample tables.
 
-Two text formats hold per-lane line captures for offline replay:
+Two text formats hold per-lane line captures for offline replay, one
+fixed-width row per symbol or character:
 
 ``symbol10``
-    one line per symbol, 10 binary digits in transmission order.
+    10 binary digits in transmission order.
 
 ``octet_flag``
-    one line per character: two hex digits, a space, then ``K`` for a
-    control character or ``D`` for data.
+    two hex digits (either case), a space, then ``K`` for a control
+    character or ``D`` for data.
 
 Both start with a comment header carrying the format tag, a JSON echo of
 the link configuration (validated on read), the creation seed and the
-lane count; lanes follow as ``# lane <i>`` sections.  Write then read is
-the identity.
+lane count; lanes follow as ``# lane <i>`` sections.  Rows are read
+exactly as written, except that CRLF line ends and a missing final
+newline are accepted: padding, a blank line or a row of the wrong width
+is an error naming its lane and row.  Write then read is the identity.
 
 Decoded samples are emitted as CSV with the fixed header
 ``sample_index,channel,value``: 16-bit values, dense and ordered by flat
@@ -21,9 +24,7 @@ sample index (sample j of the stream carries channel ``j mod C``).
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,32 @@ CAPTURE_FORMATS = (FORMAT_SYMBOL10, FORMAT_OCTET_FLAG)
 SAMPLE_CSV_HEADER = "sample_index,channel,value"
 
 _MAGIC = "# jesd204b-sim capture v1"
-_SYMBOL_ROW = re.compile(r"[01]{10}")
-_OCTET_ROW = re.compile(r"[0-9A-Fa-f]{2} [KD]")
+_LANE = "\n# lane "
+
+
+def _row_table(columns: list, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A format's rows and, per column, the share of the row's value that
+    each byte stands for (-1 where the byte is not allowed)."""
+    rows = np.stack([*columns, np.full_like(columns[0], ord("\n"))], axis=1).astype(np.uint8)
+    shares = np.full((rows.shape[1], 256), -1, dtype=np.int32)
+    for col, mask in enumerate(masks):
+        shares[col, rows[:, col]] = np.arange(rows.shape[0]) & mask
+    return rows, shares
+
+
+# Row v of a format's table renders value v: a symbol, or ctrl << 8 | octet.
+# Writing indexes the rows by value; reading sums the shares of each column.
+_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+_V = np.arange(512)
+_TABLES = {
+    FORMAT_SYMBOL10: _row_table([_DIGITS[(np.arange(1024) >> b) & 1] for b in range(9, -1, -1)],
+                                [1 << b for b in range(9, -1, -1)] + [0]),
+    FORMAT_OCTET_FLAG: _row_table([_DIGITS[_V >> 4 & 0xF], _DIGITS[_V & 0xF], np.full(512, ord(" ")),
+                                   np.where(_V >> 8, ord("K"), ord("D"))],
+                                  [0xF0, 0x0F, 0, 0x100, 0]),
+}
+_TABLES[FORMAT_OCTET_FLAG][1][:2, np.frombuffer(b"abcdef", dtype=np.uint8)] = \
+    _TABLES[FORMAT_OCTET_FLAG][1][:2, _DIGITS[10:]]  # lowercase hex digits
 
 
 @dataclass
@@ -59,38 +84,34 @@ class Capture:
 def write_capture(path: str, cap: Capture) -> None:
     if cap.fmt not in CAPTURE_FORMATS:
         raise ValueError(f"unknown capture format {cap.fmt!r}")
-    lines = [
-        _MAGIC,
-        f"# format: {cap.fmt}",
-        f"# config: {json.dumps(cap.config.to_dict(), sort_keys=True)}",
-        f"# seed: {cap.seed}",
-        f"# lanes: {cap.lane_count()}",
-    ]
     if cap.fmt == FORMAT_SYMBOL10:
-        for lane, syms in enumerate(cap.symbols):
-            lines.append(f"# lane {lane}")
-            lines.extend(format(int(s) & 0x3FF, "010b") for s in syms)
+        values = [np.asarray(syms) & 0x3FF for syms in cap.symbols]
     else:
-        for lane, (octets, ctrl) in enumerate(cap.chars):
-            lines.append(f"# lane {lane}")
-            lines.extend(f"{int(o):02X} {'K' if c else 'D'}"
-                         for o, c in zip(octets, ctrl))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        values = [np.asarray(ctrl, dtype=bool) * 256 + (np.asarray(octets) & 0xFF)
+                  for octets, ctrl in cap.chars]
+    rows = _TABLES[cap.fmt][0]
+    with open(path, "wb") as fh:
+        fh.write(f"{_MAGIC}\n# format: {cap.fmt}\n"
+                 f"# config: {json.dumps(cap.config.to_dict(), sort_keys=True)}\n"
+                 f"# seed: {cap.seed}\n# lanes: {len(values)}\n".encode("ascii"))
+        for lane, v in enumerate(values):
+            fh.write(f"# lane {lane}\n".encode("ascii") + rows[v].tobytes())
 
 
 def read_capture(path: str) -> Capture:
     """Parse a capture; the embedded configuration must validate."""
     with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _MAGIC:
+        text = fh.read()
+    head, found, body = text.removesuffix("\n").partition(_LANE)
+    lines = head.split("\n")
+    if lines[0] != _MAGIC:
         raise ParseError("not a capture file (missing magic line)")
     meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#") and ":" in lines[i]:
-        key, _, value = lines[i][1:].partition(":")
-        meta[key.strip()] = value.strip()
-        i += 1
+    for line in lines[1:]:
+        key, colon, value = line.partition(":")
+        if not (key.startswith("#") and colon):
+            raise ParseError(f"malformed capture header line {line!r}")
+        meta[key[1:].strip()] = value.strip()
     try:
         fmt = meta["format"]
         cfg_dict = json.loads(meta["config"])
@@ -102,55 +123,43 @@ def read_capture(path: str) -> Capture:
         raise ParseError(f"unknown capture format {fmt!r}")
     cfg = validate_config(LinkConfig.from_dict(cfg_dict))
 
-    lane_lines: list[list[str]] = []
-    current: list[str] | None = None
-    for line in lines[i:]:
-        if line.startswith("# lane"):
-            current = []
-            lane_lines.append(current)
-        elif line.strip():
-            if current is None:
-                raise ParseError("capture data before the first lane section")
-            current.append(line.strip())
-    if len(lane_lines) != lanes:
-        raise ParseError(f"expected {lanes} lane sections, found {len(lane_lines)}")
-
+    # Splitting at the lane markers takes each section's final newline.
+    sections = [section + "\n" for section in body.split(_LANE)] if found else []
+    if len(sections) != lanes:
+        raise ParseError(f"expected {lanes} lane sections, found {len(sections)}")
+    values = []
+    for lane, section in enumerate(sections):
+        label, _, rows = section.partition("\n")
+        if label != str(lane):
+            raise ParseError(f"lane section {lane} is labelled {label!r}")
+        values.append(_row_values(lane, rows, fmt))
     if fmt == FORMAT_SYMBOL10:
-        return Capture(fmt, cfg, seed, symbols=[
-            _symbol_rows(lane, rows) for lane, rows in enumerate(lane_lines)])
-    chars = []
-    for lane, rows in enumerate(lane_lines):
-        octets = np.zeros(len(rows), dtype=np.uint8)
-        ctrl = np.zeros(len(rows), dtype=bool)
-        for k, row in enumerate(rows):
-            if not _OCTET_ROW.fullmatch(row):
-                raise ParseError(f"lane {lane} row {k}: expected two hex digits, "
-                                 f"a space and K or D, got {row!r}")
-            octets[k] = int(row[:2], 16)
-            ctrl[k] = row[3] == "K"
-        chars.append((octets, ctrl))
-    return Capture(fmt, cfg, seed, chars=chars)
+        return Capture(fmt, cfg, seed, symbols=[v.astype(np.uint16) for v in values])
+    return Capture(fmt, cfg, seed, chars=[((v & 0xFF).astype(np.uint8), v >= 256)
+                                          for v in values])
 
 
-def _symbol_rows(lane: int, rows: list[str]) -> np.ndarray:
-    """Symbols of one lane's rows, each exactly 10 binary digits.
-
-    Joined with newlines, well-formed rows are an (n, 11) byte array
-    whose last column is all newlines, so one vectorized pass both
-    checks and converts them.
-    """
-    n = len(rows)
-    if n == 0:
-        return np.zeros(0, dtype=np.uint16)
-    raw = np.frombuffer(("\n".join(rows) + "\n").encode("ascii"), dtype=np.uint8)
-    if raw.shape[0] == 11 * n:
-        table = raw.reshape(n, 11)
-        bits = table[:, :10] - ord("0")  # any byte but '0' or '1' wraps to >= 2
-        if (table[:, 10] == ord("\n")).all() and bits.max() <= 1:
-            packed = np.packbits(bits, axis=1)  # bits 9..2, then bits 1..0 << 6
-            return (packed[:, 0].astype(np.uint16) << 2) | (packed[:, 1] >> 6)
-    k = next(k for k, row in enumerate(rows) if not _SYMBOL_ROW.fullmatch(row))
-    raise ParseError(f"lane {lane} row {k}: expected 10 binary digits, got {rows[k]!r}")
+def _row_values(lane: int, rows: str, fmt: str) -> np.ndarray:
+    """Values of one lane's rows, read as an (n, width) byte table.  Rows
+    before the first malformed line fill whole table rows, so the first
+    failing table row (or else the remainder) is that line."""
+    shares = _TABLES[fmt][1]
+    width = shares.shape[0]
+    raw = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
+    n, extra = divmod(raw.shape[0], width)
+    values = np.zeros(n, dtype=np.int32)
+    ok = np.ones(n, dtype=bool)
+    for lut, column in zip(shares, raw[: n * width].reshape(n, width).T):
+        share = lut[column]
+        ok &= share >= 0
+        values |= share
+    if extra or not ok.all():
+        k = n if ok.all() else int(np.argmin(ok))
+        expected = ("10 binary digits" if fmt == FORMAT_SYMBOL10
+                    else "two hex digits, a space and K or D")
+        row = rows.split("\n")[k]
+        raise ParseError(f"lane {lane} row {k}: expected {expected}, got {row!r}")
+    return values
 
 
 def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,

@@ -167,7 +167,7 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
     lanes = []
     if cap.fmt == FORMAT_SYMBOL10:
         for syms in cap.symbols:
-            _, aligned = codec.bit_align(codec.serialize(syms))
+            _, aligned = codec.bit_align(syms)
             octs, ctrl, nit, derr, _ = codec.decode_stream(aligned, codec.RD_NEG)
             lanes.append(pack_chars(octs, ctrl, nit, derr))
     else:

@@ -25,6 +25,10 @@ opposite running disparity set ``disparity_error``, and the disparity
 always advances deterministically (by the sign of the symbol's bit
 imbalance).  Errors are flags on the decoded character, never
 exceptions; the receiver state machine consumes them.
+
+:func:`bit_align` takes what a deserializer delivers, consecutive 10-bit
+words at an unknown bit phase; :func:`serialize`, one byte per bit,
+serves tests and demos.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ K_Q = CONTROL_OCTETS["Q"]
 K_K = CONTROL_OCTETS["K"]
 K_F = CONTROL_OCTETS["F"]
 
-# 7-bit comma patterns in transmission order (contained in K28.5/K28.7).
-COMMA_NEG = (0, 0, 1, 1, 1, 1, 1)
-COMMA_POS = (1, 1, 0, 0, 0, 0, 0)
-_COMMA_SEARCH_BITS = 1280  # first bit_align window: 128 symbols
+# 7-bit commas (in K28.5/K28.7), first bit on the wire in bit 6.
+_COMMA_NEG = 0b0011111
+_COMMA_POS = 0b1100000
+_COMMA_SEARCH_WORDS = 128  # first bit_align window
 
 
 class InvalidControlCode(ValueError):
@@ -304,51 +308,37 @@ def serialize(symbols: np.ndarray) -> np.ndarray:
     return ((syms[:, None] >> shifts[None, :]) & 1).astype(np.uint8).ravel()
 
 
-def pack_symbols(bits: np.ndarray) -> np.ndarray:
-    """Group a 0/1 bit array into 10-bit symbols (tail bits dropped)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    n = bits.shape[0] // 10
-    if n == 0:
-        return np.zeros(0, dtype=np.uint16)
-    b = bits[: n * 10].reshape(n, 10).astype(np.uint16)
-    weights = (1 << np.arange(9, -1, -1, dtype=np.uint16))
-    return (b * weights[None, :]).sum(axis=1).astype(np.uint16)
+def _comma_starts(words: np.ndarray) -> np.ndarray:
+    """(n, 10) mask of commas starting at bit j of word i, searched across
+    adjacent words; a comma running past the last word does not count."""
+    pairs = (words << 10) | np.append(words[1:], np.uint32(0))
+    hits = np.empty((words.shape[0], 10), dtype=bool)
+    for j in range(10):
+        window = (pairs >> (13 - j)) & 0x7F
+        hits[:, j] = (window == _COMMA_NEG) | (window == _COMMA_POS)
+    hits[-1:, 4:] = False
+    return hits
 
 
-def _match_pattern(bits: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    n = bits.shape[0] - len(pattern) + 1
-    if n <= 0:
-        return np.zeros(0, dtype=bool)
-    m = np.ones(n, dtype=bool)
-    for i, p in enumerate(pattern):
-        m &= bits[i: i + n] == p
-    return m
+def bit_align(words: np.ndarray) -> tuple[int, np.ndarray]:
+    """Recover symbol boundaries from raw 10-bit words at any bit phase.
 
-
-def find_commas(bits: np.ndarray) -> np.ndarray:
-    """Positions of every 7-bit comma pattern occurrence in a bit array."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    m = _match_pattern(bits, COMMA_NEG) | _match_pattern(bits, COMMA_POS)
-    return np.flatnonzero(m)
-
-
-def bit_align(bits: np.ndarray) -> tuple[int, np.ndarray]:
-    """Recover symbol boundaries from a raw bitstream.
-
-    Searches windows of doubling length from ``_COMMA_SEARCH_BITS`` bits
-    for the first comma, locks the boundary phase there and returns
-    ``(offset, symbols)`` where ``offset`` is in 0..9 and the symbols
-    start at the first boundary at or after ``offset`` (partial leading
-    bits are dropped).  Raises :class:`NoCommaFound` when the stream has
-    no comma.
+    Finds the first comma in windows of doubling length from
+    ``_COMMA_SEARCH_WORDS`` words and returns ``(offset, symbols)``:
+    ``offset`` in 0..9 is its bit position within its word, and the
+    symbols start that many bits in (the partial last word is dropped).
+    Raises :class:`NoCommaFound` when the stream has no comma.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    window = _COMMA_SEARCH_BITS
-    positions = find_commas(bits[:window])
-    while positions.size == 0 and window < bits.shape[0]:
-        window *= 2
-        positions = find_commas(bits[:window])
-    if positions.size == 0:
-        raise NoCommaFound(f"no comma in {bits.shape[0]} bits")
-    offset = int(positions[0]) % 10
-    return offset, pack_symbols(bits[offset:])
+    w = np.asarray(words, dtype=np.uint32) & 0x3FF
+    n = w.shape[0]
+    size = _COMMA_SEARCH_WORDS
+    hits = _comma_starts(w[:size])
+    while not hits.any() and size < n:
+        size *= 2
+        hits = _comma_starts(w[:size])
+    if not hits.any():
+        raise NoCommaFound(f"no comma in {n} words")
+    k = int(np.argmax(hits)) % 10
+    if k == 0:
+        return 0, w.astype(np.uint16)
+    return k, (((w[:-1] << k) | (w[1:] >> (10 - k))) & 0x3FF).astype(np.uint16)

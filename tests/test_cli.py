@@ -223,7 +223,8 @@ class TestGenDecodeRoundTrip:
     @pytest.mark.parametrize("fmt,row", [
         ("symbol10", "0101"), ("symbol10", "1_0"), ("symbol10", "+1"),
         ("symbol10", "11111111111"), ("octet_flag", "1FF D"),
-        ("octet_flag", "-1 D")])
+        ("octet_flag", "-1 D"), ("symbol10", " 0101010101"), ("symbol10", ""),
+        ("octet_flag", "1F D "), ("octet_flag", "")])
     def test_malformed_capture_row_named(self, config_path, tmp_path, capsys,
                                          fmt, row):
         cap = tmp_path / "cap.txt"
@@ -235,6 +236,25 @@ class TestGenDecodeRoundTrip:
         capsys.readouterr()
         assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
         assert "lane 1 row 5" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("fmt", ["symbol10", "octet_flag"])
+    def test_crlf_lowercase_and_no_final_newline_read_alike(self, config_path,
+                                                           tmp_path, fmt):
+        cap = tmp_path / "cap.txt"
+        main(["gen", "--config", config_path(), "--out", str(cap),
+              "--format", fmt, "--cycles", "400"])
+        want = read_capture(str(cap))
+        head, _, rows = cap.read_text().partition("# lane 0")
+        rows = "\n".join(row[:2].lower() + row[2:] for row in rows.split("\n"))
+        cap.write_bytes((head + "# lane 0" + rows).rstrip("\n")
+                        .replace("\n", "\r\n").encode("ascii"))
+        got = read_capture(str(cap))
+        if fmt == "symbol10":
+            pairs = zip(got.symbols, want.symbols)
+        else:
+            pairs = zip(sum(got.chars, ()), sum(want.chars, ()))
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 class TestSweepCommand:

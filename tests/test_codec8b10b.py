@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from jesd204b_sim import codec8b10b as codec
 from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, RD_NEG, RD_POS, Char,
                                      InvalidControlCode, NoCommaFound,
                                      bit_align, decode_stream, decode_symbol,
@@ -152,6 +151,26 @@ class TestStreamForms:
             encode_stream(octets, np.array([True]))
 
 
+# Comma patterns in transmission order, for the bit-level references.
+COMMA_NEG = (0, 0, 1, 1, 1, 1, 1)
+COMMA_POS = (1, 1, 0, 0, 0, 0, 0)
+
+
+def words_of(bits):
+    """Consecutive 10-bit groups, first bit in bit 9; tail bits dropped."""
+    n = len(bits) // 10
+    weights = 1 << np.arange(9, -1, -1)
+    return (np.asarray(bits[: 10 * n], dtype=np.int64).reshape(n, 10) @ weights
+            ).astype(np.uint16)
+
+
+def first_comma(bits):
+    """Bit-level reference: position of the first comma, or None."""
+    line = "".join(str(int(b)) for b in bits)
+    hits = [line.find("".join(map(str, p))) for p in (COMMA_NEG, COMMA_POS)]
+    return min((h for h in hits if h >= 0), default=None)
+
+
 class TestSerializeAndAlign:
     def _cgs_bits(self, n=64):
         octets = np.full(n, 0xBC, np.uint8)
@@ -160,22 +179,23 @@ class TestSerializeAndAlign:
 
     def test_aligned_stream_offset_zero_identity(self):
         bits, syms = self._cgs_bits()
-        offset, back = bit_align(bits)
+        offset, back = bit_align(words_of(bits))
         assert offset == 0
         assert (back == syms).all()
 
     def test_shift_by_three(self):
         bits, syms = self._cgs_bits()
         shifted = np.concatenate([np.array([1, 0, 1], np.uint8), bits])
-        offset, back = bit_align(shifted)
+        offset, back = bit_align(words_of(shifted))
         assert offset == 3
-        assert (back[: len(syms)] == syms).all()
+        assert (back[: len(syms)] == syms[: len(back)]).all()
+        assert len(back) == len(syms) - 1  # the partial last word is dropped
 
     @pytest.mark.parametrize("shift", range(10))
     def test_all_shifts_recovered(self, shift):
         bits, syms = self._cgs_bits()
         junk = ((np.arange(shift) * 5) % 2).astype(np.uint8)
-        offset, back = bit_align(np.concatenate([junk, bits]))
+        offset, back = bit_align(words_of(np.concatenate([junk, bits])))
         assert offset == shift
 
     def test_comma_after_long_idle_lead_in(self):
@@ -183,29 +203,67 @@ class TestSerializeAndAlign:
         # before its first comma.
         idle, _ = encode_stream(np.zeros(600, np.uint8), np.zeros(600, bool), RD_NEG)
         bits, syms = self._cgs_bits()
-        offset, back = bit_align(np.concatenate([np.ones(4, np.uint8),
-                                                 serialize(idle), bits]))
+        offset, back = bit_align(words_of(np.concatenate([np.ones(4, np.uint8),
+                                                          serialize(idle), bits])))
         assert offset == 4
-        assert (back[600:] == syms).all()
+        assert (back[600:] == syms[:-1]).all()
 
     def test_comma_free_data_raises(self):
         # Rejection-sampling oracle: scan candidate data streams with an
         # independent pattern matcher until one provably comma-free
-        # window is found, then assert bit_align refuses it.
+        # stream is found, then assert bit_align refuses it.
         rng = np.random.default_rng(3)
         for _ in range(50):
             octets = rng.integers(0, 256, 200).astype(np.uint8)
             syms, _ = encode_stream(octets, np.zeros(200, bool), RD_NEG)
-            bits = serialize(syms)
-            window = bits[: 2 * 10 * 64]
-            hits = [i for i in range(len(window) - 6)
-                    if tuple(window[i:i + 7]) in
-                    (codec.COMMA_NEG, codec.COMMA_POS)]
-            if not hits:
+            if first_comma(serialize(syms)) is None:
                 with pytest.raises(NoCommaFound):
-                    bit_align(bits)
+                    bit_align(syms)
                 return
         pytest.fail("rejection sampling found no comma-free stream")
+
+    @pytest.mark.parametrize("shift", range(5))
+    def test_comma_in_last_word(self, shift):
+        # Data, then one /K/: behind ``shift`` junk bits the comma starts
+        # at bit ``shift`` of the last word, and past bit 3 it would run
+        # beyond that word.
+        octets = np.append(np.arange(40, dtype=np.uint8), 0xBC)
+        syms, _ = encode_stream(octets, np.arange(41) == 40, RD_NEG)
+        bits = np.concatenate([np.zeros(shift, np.uint8), serialize(syms)])
+        words = words_of(bits)
+        assert first_comma(bits) == 10 * 40 + shift
+        if shift > 3:
+            with pytest.raises(NoCommaFound):
+                bit_align(words)
+            return
+        offset, back = bit_align(words)
+        assert offset == shift
+        assert (back == syms[: len(back)]).all()
+        assert len(back) == (41 if shift == 0 else 40)
+
+    def test_matches_bit_level_search(self):
+        # Property: on random words, the offset is the first comma's bit
+        # position mod 10 and the symbols regroup the bits from there.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            octets = rng.integers(0, 256, n).astype(np.uint8)
+            ctrl = np.zeros(n, bool)
+            if rng.random() < 0.7:
+                octets[rng.integers(0, n)] = 0xBC
+                ctrl = octets == 0xBC
+            syms, _ = encode_stream(octets, ctrl, int(rng.integers(0, 2)))
+            junk = rng.integers(0, 2, int(rng.integers(0, 25))).astype(np.uint8)
+            bits = np.concatenate([junk, serialize(syms)])
+            covered = bits[: 10 * (len(bits) // 10)]
+            p = first_comma(covered)
+            if p is None:
+                with pytest.raises(NoCommaFound):
+                    bit_align(words_of(bits))
+                continue
+            offset, back = bit_align(words_of(bits))
+            assert offset == p % 10
+            assert np.array_equal(back, words_of(covered[p % 10:]))
 
 
 class TestCommaUniqueness:
@@ -245,7 +303,7 @@ class TestCommaUniqueness:
                     bits = bits1 + [(s2 >> (9 - i)) & 1 for i in range(10)]
                     for off in range(0, 14):
                         pat = tuple(bits[off:off + 7])
-                        if pat not in (codec.COMMA_NEG, codec.COMMA_POS):
+                        if pat not in (COMMA_NEG, COMMA_POS):
                             continue
                         if off == 0 and s1 in comma_syms:
                             continue
