@@ -42,28 +42,29 @@ _LANE = "\n# lane "
 
 
 def _row_table(columns: list, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """A format's rows and, per column, the share of the row's value that
-    each byte stands for (-1 where the byte is not allowed)."""
+    """A format's rows, each ending in a newline, and per column the part
+    of the row's value each byte stands for (-1 where it is not allowed)."""
     rows = np.stack([*columns, np.full_like(columns[0], ord("\n"))], axis=1).astype(np.uint8)
     shares = np.full((rows.shape[1], 256), -1, dtype=np.int32)
-    for col, mask in enumerate(masks):
+    for col, mask in enumerate([*masks, 0]):
         shares[col, rows[:, col]] = np.arange(rows.shape[0]) & mask
     return rows, shares
 
 
 # Row v of a format's table renders value v: a symbol, or ctrl << 8 | octet.
-# Writing indexes the rows by value; reading sums the shares of each column.
+# Writing indexes the rows by value; reading ORs the shares of the columns.
 _DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
-_V = np.arange(512)
+_V = np.arange(1024)
 _TABLES = {
-    FORMAT_SYMBOL10: _row_table([_DIGITS[(np.arange(1024) >> b) & 1] for b in range(9, -1, -1)],
-                                [1 << b for b in range(9, -1, -1)] + [0]),
-    FORMAT_OCTET_FLAG: _row_table([_DIGITS[_V >> 4 & 0xF], _DIGITS[_V & 0xF], np.full(512, ord(" ")),
-                                   np.where(_V >> 8, ord("K"), ord("D"))],
-                                  [0xF0, 0x0F, 0, 0x100, 0]),
+    FORMAT_SYMBOL10: _row_table([_DIGITS[(_V >> b) & 1] for b in range(9, -1, -1)],
+                                [1 << b for b in range(9, -1, -1)]),
+    FORMAT_OCTET_FLAG: _row_table([_DIGITS[(_V[:512] >> 4) & 0xF], _DIGITS[_V[:512] & 0xF],
+                                   np.full(512, ord(" ")),
+                                   np.where(_V[:512] >> 8, ord("K"), ord("D"))],
+                                  [0xF0, 0x0F, 0, 0x100]),
 }
-_TABLES[FORMAT_OCTET_FLAG][1][:2, np.frombuffer(b"abcdef", dtype=np.uint8)] = \
-    _TABLES[FORMAT_OCTET_FLAG][1][:2, _DIGITS[10:]]  # lowercase hex digits
+_HEX_SHARES = _TABLES[FORMAT_OCTET_FLAG][1][:2]
+_HEX_SHARES[:, np.frombuffer(b"abcdef", dtype=np.uint8)] = _HEX_SHARES[:, _DIGITS[10:]]
 
 
 @dataclass
@@ -84,18 +85,18 @@ class Capture:
 def write_capture(path: str, cap: Capture) -> None:
     if cap.fmt not in CAPTURE_FORMATS:
         raise ValueError(f"unknown capture format {cap.fmt!r}")
-    if cap.fmt == FORMAT_SYMBOL10:
-        values = [np.asarray(syms) & 0x3FF for syms in cap.symbols]
-    else:
-        values = [np.asarray(ctrl, dtype=bool) * 256 + (np.asarray(octets) & 0xFF)
-                  for octets, ctrl in cap.chars]
     rows = _TABLES[cap.fmt][0]
+    if cap.fmt == FORMAT_SYMBOL10:
+        lanes = [rows[np.asarray(syms) & 0x3FF] for syms in cap.symbols]
+    else:
+        lanes = [rows[np.asarray(ctrl, dtype=bool) * 256 + (np.asarray(octets) & 0xFF)]
+                 for octets, ctrl in cap.chars]
     with open(path, "wb") as fh:
         fh.write(f"{_MAGIC}\n# format: {cap.fmt}\n"
                  f"# config: {json.dumps(cap.config.to_dict(), sort_keys=True)}\n"
-                 f"# seed: {cap.seed}\n# lanes: {len(values)}\n".encode("ascii"))
-        for lane, v in enumerate(values):
-            fh.write(f"# lane {lane}\n".encode("ascii") + rows[v].tobytes())
+                 f"# seed: {cap.seed}\n# lanes: {len(lanes)}\n".encode("ascii"))
+        for lane, table in enumerate(lanes):
+            fh.write(f"# lane {lane}\n".encode("ascii") + table.tobytes())
 
 
 def read_capture(path: str) -> Capture:

@@ -332,10 +332,8 @@ def bit_align(words: np.ndarray) -> tuple[int, np.ndarray]:
     w = np.asarray(words, dtype=np.uint32) & 0x3FF
     n = w.shape[0]
     size = _COMMA_SEARCH_WORDS
-    hits = _comma_starts(w[:size])
-    while not hits.any() and size < n:
+    while not (hits := _comma_starts(w[:size])).any() and size < n:
         size *= 2
-        hits = _comma_starts(w[:size])
     if not hits.any():
         raise NoCommaFound(f"no comma in {n} words")
     k = int(np.argmax(hits)) % 10

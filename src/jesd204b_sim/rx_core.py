@@ -139,7 +139,6 @@ class RxReceiver:
         validate_config(cfg)
         self.cfg = cfg
         self.expected_ilas = expected_ilas
-        self._dsc_tabs = scrambler.descramble_step_tables() if cfg.scrambling else None
         self.reset()
 
     def reset(self) -> None:
@@ -415,16 +414,8 @@ class RxReceiver:
                 return (lane.idx, name, f"octet=0x{v & 0xFF:02X}")
         buf = lane.buffer
         if self.cfg.scrambling:
-            oi, ni, os_, ns = self._dsc_tabs
-            s = lane.dsc_state
-            for v in word:
-                o = v & 0xFF
-                buf.append(int(oi[o] ^ os_[s]))
-                s = int(ni[o] ^ ns[s])
-            lane.dsc_state = s
-        else:
-            for v in word:
-                buf.append(v & 0xFF)
+            lane.dsc_state, word = scrambler.descramble_word32(lane.dsc_state, word)
+        buf.extend(v & 0xFF for v in word)
         if len(buf) > self.cfg.buffer_depth:
             self.error_counts["buffer_overflow"] += 1
             return (lane.idx, "buffer_overflow", f"fill={len(buf)}")

@@ -14,11 +14,11 @@ octet first.  Equivalent forms are provided:
 * serial, one bit at a time (the reference form),
 * a 32-bit-wide feed-forward XOR network, mirroring a wide-datapath
   hardware implementation, applied to arrays of independent
-  (state, word) pairs; the one-word calls are one-element batches,
+  (state, word) pairs; ``scramble_word32`` is a one-element batch,
 * bulk octet-array forms for long streams (the descramble direction is
   a plain shifted XOR; the scramble direction uses iterated operator
   doubling over GF(2), which costs O(log n) shifted-XOR passes),
-* octet-at-a-time descramble tables for the receiver's stepped path.
+* ``descramble_word32``, the bulk form on one word, for the stepped receiver.
 
 All forms are pure functions threading the state explicitly and are
 verified against each other bit-for-bit by the test suite.
@@ -30,7 +30,6 @@ it only pins down the first 14 bits for golden-file determinism.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -179,10 +178,9 @@ def scramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, 
 
 
 def descramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Descramble one 4-octet word through the parallel XOR network."""
-    ns, out = descramble_words_batch(np.array([state & STATE_MASK]),
-                                     np.array([word_from_octets(octets)]))
-    return int(ns[0]), octets_from_word(int(out[0]))
+    """Descramble one 4-octet word: out = in ^ in>>13 ^ in>>14 behind the state."""
+    x = (state & STATE_MASK) << 32 | word_from_octets(octets)
+    return x & STATE_MASK, octets_from_word((x ^ x >> _TAP_A ^ x >> _TAP_B) & 0xFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +245,3 @@ def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
         j += 1
     new_state = ((int(y[-2]) << 8) | int(y[-1])) & STATE_MASK
     return new_state, y[2:]
-
-
-# ---------------------------------------------------------------------------
-# Octet-at-a-time descramble tables for the receiver's stepped path.  One
-# octet step is linear over GF(2), so the input and state contributions
-# are tabulated separately and XOR-combined at use:
-#
-#   out        = OUT_IN[octet] ^ OUT_ST[state]
-#   next_state = NXT_IN[octet] ^ NXT_ST[state]
-# ---------------------------------------------------------------------------
-
-def _octet_contrib(values: np.ndarray, as_input: bool) -> tuple[np.ndarray, np.ndarray]:
-    octs = values if as_input else np.zeros_like(values)
-    s = np.zeros_like(values) if as_input else values.copy()
-    out = np.zeros_like(values)
-    for bit in range(7, -1, -1):
-        b = (octs >> np.uint32(bit)) & np.uint32(1)
-        o = b ^ ((s >> np.uint32(12)) & np.uint32(1)) ^ ((s >> np.uint32(13)) & np.uint32(1))
-        s = ((s << np.uint32(1)) | b) & np.uint32(STATE_MASK)
-        out = (out << np.uint32(1)) | o
-    return out.astype(np.uint8), s.astype(np.uint16)
-
-
-@lru_cache(maxsize=None)
-def descramble_step_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(OUT_IN, NXT_IN, OUT_ST, NXT_ST) tables for octet-wise descrambling."""
-    out_in, nxt_in = _octet_contrib(np.arange(256, dtype=np.uint32), as_input=True)
-    out_st, nxt_st = _octet_contrib(np.arange(1 << STATE_BITS, dtype=np.uint32),
-                                    as_input=False)
-    return out_in, nxt_in, out_st, nxt_st

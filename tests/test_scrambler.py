@@ -206,19 +206,3 @@ class TestBulkOctetForm:
             state, part = sc.scramble_octets(state, octets[i:i + 999])
             parts.append(part)
         assert (np.concatenate(parts) == whole).all()
-
-
-class TestOctetStepTables:
-    def test_tables_match_serial(self):
-        rng = np.random.default_rng(40)
-        doi, dni, dos, dns = sc.descramble_step_tables()
-        for _ in range(20):
-            state = int(rng.integers(0, 1 << 14))
-            octets = [int(x) for x in rng.integers(0, 256, 64)]
-            st_o, exp = sc.descramble_octets_serial(state, octets)
-            s = state
-            got = []
-            for o in octets:
-                got.append(int(doi[o] ^ dos[s]))
-                s = int(dni[o] ^ dns[s])
-            assert got == exp and s == st_o
