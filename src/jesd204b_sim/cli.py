@@ -69,6 +69,9 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
         # The library models up to 32 lanes; the command-line wrapper
         # mirrors the packaged core's 4-lane limit.
         raise ParseError(f"L={cfg.L}: the CLI supports at most 4 lanes per link")
+    if cfg.links != 1:
+        raise ParseError(f"links={cfg.links}: the CLI runs one link; the library's "
+                         "run_multi_link runs several")
 
     out: dict = {"sim": {}}
     if "ilas" in sections:

@@ -117,7 +117,8 @@ class LinkConfig:
     fchk_rule: str = OCTET_SUM
 
     def __post_init__(self) -> None:
-        self.scrambling = bool(self.scrambling)
+        if isinstance(self.scrambling, numbers.Integral) and self.scrambling in (0, 1):
+            self.scrambling = bool(self.scrambling)  # check_config rejects the rest
         if not (_is_int(self.F) and _is_int(self.K)):
             return  # check_config reports them; nothing derives from them
         if self.buffer_depth is None:
@@ -178,6 +179,8 @@ def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
         v = getattr(cfg, attr)
         if not _is_int(v) and v is not None:  # None: F or K is mistyped
             bad(f"{attr.replace('_', '-')}-type", v, "an integer")
+    if not isinstance(cfg.scrambling, bool):
+        bad("scrambling-type", cfg.scrambling, "a bool, 0 or 1")
     if not all(_is_int(getattr(cfg, attr)) for attr in (*_RANGES, *_INT_FIELDS)):
         return out  # the rules below compare integers
 

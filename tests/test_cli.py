@@ -50,6 +50,12 @@ class TestParseConfig:
             parse_config(config_path({"L": 8}))
         assert LinkConfig(L=8, F=4, K=32).L == 8
 
+    def test_cli_runs_one_link(self, config_path, capsys):
+        # run_multi_link is the library's entry point for several links
+        assert main(["simulate", "--config", config_path({"links": 3})]) == EXIT_USAGE
+        assert "run_multi_link" in capsys.readouterr().err
+        assert LinkConfig(L=2, F=4, K=32, links=3).links == 3
+
 
 class TestSimulateCommand:
     def test_clean_run_exit_zero(self, config_path, tmp_path):
@@ -89,6 +95,9 @@ class TestSimulateCommand:
         ({"ilas": {"did": "5"}}, "ilas.did"),
         ({"sim": 5}, "sim"),
         ({"sim": {"duration_cycles": "100"}}, "duration_cycles"),
+        ({"scrambling": "0"}, "scrambling"),
+        ({"scrambling": 2}, "scrambling"),
+        ({"scrambling": None}, "scrambling"),
     ])
     def test_malformed_value_exit_usage_naming_field(self, config_path, capsys,
                                                      overrides, field):

@@ -58,6 +58,14 @@ class TestValidateConfig:
         assert cfg.buffer_depth == 2 * 128
         assert 0 <= cfg.release_offset < 128
 
+    @pytest.mark.parametrize("value,ok", [(True, True), (False, True), (1, True),
+                                          (0, True), ("0", False), (2, False),
+                                          (None, False), (1.0, False)])
+    def test_scrambling_only_bool_or_0_1(self, value, ok):
+        cfg = LinkConfig(L=2, F=4, K=32, scrambling=value)
+        assert ("scrambling-type" not in names(check_config(cfg))) == ok
+        assert cfg.scrambling is bool(value) if ok else cfg.scrambling is value
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParseError, match="bogus"):
             LinkConfig.from_dict({"L": 2, "F": 4, "K": 32, "bogus": 1})
