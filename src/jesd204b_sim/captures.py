@@ -77,10 +77,6 @@ class Capture:
     symbols: list[np.ndarray] | None = None          # symbol10 payload
     chars: list[tuple[np.ndarray, np.ndarray]] | None = None  # (octets, ctrl)
 
-    def lane_count(self) -> int:
-        data = self.symbols if self.fmt == FORMAT_SYMBOL10 else self.chars
-        return len(data)
-
 
 def write_capture(path: str, cap: Capture) -> None:
     if cap.fmt not in CAPTURE_FORMATS:
