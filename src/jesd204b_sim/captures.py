@@ -145,13 +145,11 @@ def _row_values(lane: int, rows: str, fmt: str) -> np.ndarray:
     raw = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
     n, extra = divmod(raw.shape[0], width)
     values = np.zeros(n, dtype=np.int32)
-    ok = np.ones(n, dtype=bool)
     for lut, column in zip(shares, raw[: n * width].reshape(n, width).T):
-        share = lut[column]
-        ok &= share >= 0
-        values |= share
-    if extra or not ok.all():
-        k = n if ok.all() else int(np.argmin(ok))
+        values |= np.take(lut, column)  # a bad byte's -1 sets every bit
+    bad = np.flatnonzero(values < 0)
+    if extra or bad.size:
+        k = int(bad[0]) if bad.size else n
         expected = ("10 binary digits" if fmt == FORMAT_SYMBOL10
                     else "two hex digits, a space and K or D")
         row = rows.split("\n")[k]
