@@ -81,7 +81,7 @@ class Capture:
 def write_capture(path: str, cap: Capture) -> None:
     if cap.fmt not in CAPTURE_FORMATS:
         raise ValueError(f"unknown capture format {cap.fmt!r}")
-    rows = _TABLES[cap.fmt][0]
+    rows, _ = _TABLES[cap.fmt]
     if cap.fmt == FORMAT_SYMBOL10:
         lanes = [rows[np.asarray(syms) & 0x3FF] for syms in cap.symbols]
     else:
@@ -140,7 +140,7 @@ def _row_values(lane: int, rows: str, fmt: str) -> np.ndarray:
     """Values of one lane's rows, read as an (n, width) byte table.  Rows
     before the first malformed line fill whole table rows, so the first
     failing table row (or else the remainder) is that line."""
-    shares = _TABLES[fmt][1]
+    _, shares = _TABLES[fmt]
     width = shares.shape[0]
     raw = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
     n, extra = divmod(raw.shape[0], width)

@@ -246,6 +246,13 @@ class TestGenDecodeRoundTrip:
         assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
         assert "lane 1 row 5" in capsys.readouterr().err
 
+    def test_mislabelled_lane_section_rejected(self, config_path, tmp_path, capsys):
+        cap = tmp_path / "cap.txt"
+        main(["gen", "--config", config_path(), "--out", str(cap), "--cycles", "400"])
+        cap.write_text(cap.read_text().replace("# lane 1\n", "# lane 7\n"))
+        capsys.readouterr()
+        assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
+        assert "lane section 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["symbol10", "octet_flag"])
     def test_crlf_lowercase_and_no_final_newline_read_alike(self, config_path,
