@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, exit codes, files, round trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -298,7 +299,28 @@ class TestSweepCommand:
         assert lat[0] != lat[1]
 
 
+# sha256 of the sample CSVs, recorded while write_sample_csv still
+# formatted one f-string per row.
+CSV_SHA256 = {
+    "simulate": "24682fcb620a24a78e2396a6c6959f5de5b45fb3384ae1cae626c6d442675ac3",
+    "decode": "2bc31e7a2b8ea2781d34c9b4c7619d5d81461d673a1dba4b1d992ad529219bc1",
+}
+
+
 class TestCsvSchema:
+    @pytest.mark.parametrize("command", sorted(CSV_SHA256))
+    def test_csv_bytes_pinned(self, config_path, tmp_path, command):
+        cfgp = config_path(channel={"skew": [3, 21]},
+                           payload={"kind": "random", "seed": 4, "channels": 3})
+        cap, out = tmp_path / "cap.txt", tmp_path / "s.csv"
+        if command == "simulate":
+            argv = ["simulate", "--config", cfgp, "--duration", "1500"]
+        else:
+            main(["gen", "--config", cfgp, "--out", str(cap), "--cycles", "1500"])
+            argv = ["decode", "--capture", str(cap), "--config", cfgp, "--channels", "5"]
+        assert main([*argv, "--dump-samples", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[command]
+
     def test_header_fixed(self, config_path, tmp_path):
         out = tmp_path / "s.csv"
         main(["simulate", "--config",
