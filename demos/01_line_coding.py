@@ -5,9 +5,9 @@ Run:  python3 demos/01_line_coding.py
 
 import numpy as np
 
-from jesd204b_sim.codec8b10b import (Char, bit_align, decode_symbol,
-                                     encode_char, encode_stream, serialize,
-                                     RD_NEG, RD_POS)
+from jesd204b_sim.codec8b10b import (CTRL_FLAG, Char, bit_align,
+                                     decode_stream, decode_symbol, encode_char,
+                                     encode_stream, serialize, RD_NEG, RD_POS)
 
 print("=== Encoding single characters ===")
 for octet, ctrl, name in [(0xBC, True, "K28.5 (comma)"), (0x1C, True, "K28.0"),
@@ -18,24 +18,28 @@ for octet, ctrl, name in [(0xBC, True, "K28.5 (comma)"), (0x1C, True, "K28.0"),
 
 print("\n=== Round trip and disparity bound over a random stream ===")
 rng = np.random.default_rng(0)
-octets = rng.integers(0, 256, 10_000).astype(np.uint8)
-syms, _ = encode_stream(octets, np.zeros(octets.shape[0], bool))
+# Streams carry packed characters: the octet, plus CTRL_FLAG for a K code.
+chars = rng.integers(0, 256, 10_000).astype(np.uint16)
+syms, _ = encode_stream(chars)
 bits = serialize(syms)
 ones = int(bits.sum())
-print(f"  {len(octets)} octets -> {len(bits)} line bits, "
+print(f"  {len(chars)} octets -> {len(bits)} line bits, "
       f"ones/zeros imbalance at the end: {2 * ones - len(bits)}")
 
 rd = RD_NEG
 errors = 0
 for i, s in enumerate(syms[:2000]):
     ch, rd = decode_symbol(int(s), rd)
-    errors += ch.octet != octets[i]
+    errors += ch.octet != chars[i]
 print(f"  decode of the first 2000 symbols: {errors} mismatches")
+decoded, _ = decode_stream(syms)
+print(f"  stream decode of all {len(syms)}: "
+      f"{int(np.count_nonzero(decoded != chars))} mismatches")
 
 print("\n=== Comma alignment from an arbitrary bit phase ===")
 # A deserializer hands over 10-bit words at whatever bit phase it locked
 # to; bit_align finds the comma and regroups the words on its boundary.
-comma_syms, _ = encode_stream(np.full(32, 0xBC, np.uint8), np.ones(32, bool))
+comma_syms, _ = encode_stream(np.full(32, CTRL_FLAG | 0xBC, np.uint16))
 stream = np.concatenate([serialize(comma_syms), bits])
 for shift in (0, 3, 7):
     shifted = np.concatenate([rng.integers(0, 2, shift).astype(np.uint8), stream])

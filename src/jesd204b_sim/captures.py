@@ -8,7 +8,8 @@ fixed-width row per symbol or character:
 
 ``octet_flag``
     two hex digits (either case), a space, then ``K`` for a control
-    character or ``D`` for data.
+    character or ``D`` for data.  Its lanes are packed characters (see
+    :mod:`.codec8b10b`); decode-error flags are not written.
 
 Both start with a comment header carrying the format tag, a JSON echo of
 the link configuration (validated on read), the creation seed and the
@@ -51,8 +52,9 @@ def _row_table(columns: list, masks: list[int]) -> tuple[np.ndarray, np.ndarray]
     return rows, shares
 
 
-# Row v of a format's table renders value v: a symbol, or ctrl << 8 | octet.
-# Writing indexes the rows by value; reading ORs the shares of the columns.
+# Row v of a format's table renders value v: a symbol, or a packed
+# character without error flags.  Writing indexes the rows by value;
+# reading ORs the shares of the columns.
 _DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
 _V = np.arange(1024)
 _TABLES = {
@@ -74,19 +76,19 @@ class Capture:
     fmt: str
     config: LinkConfig
     seed: int
-    symbols: list[np.ndarray] | None = None          # symbol10 payload
-    chars: list[tuple[np.ndarray, np.ndarray]] | None = None  # (octets, ctrl)
+    symbols: list[np.ndarray] | None = None   # symbol10 payload
+    chars: list[np.ndarray] | None = None     # octet_flag packed characters
+
+
+_FIELD = {FORMAT_SYMBOL10: "symbols", FORMAT_OCTET_FLAG: "chars"}   # each format's lanes
 
 
 def write_capture(path: str, cap: Capture) -> None:
     if cap.fmt not in CAPTURE_FORMATS:
         raise ValueError(f"unknown capture format {cap.fmt!r}")
     rows, _ = _TABLES[cap.fmt]
-    if cap.fmt == FORMAT_SYMBOL10:
-        lanes = [rows[np.asarray(syms) & 0x3FF] for syms in cap.symbols]
-    else:
-        lanes = [rows[np.asarray(ctrl, dtype=bool) * 256 + (np.asarray(octets) & 0xFF)]
-                 for octets, ctrl in cap.chars]
+    # Masking to the table drops an octet_flag character's error flags.
+    lanes = [rows[np.asarray(v) & (rows.shape[0] - 1)] for v in getattr(cap, _FIELD[cap.fmt])]
     with open(path, "wb") as fh:
         fh.write(f"{_MAGIC}\n# format: {cap.fmt}\n"
                  f"# config: {json.dumps(cap.config.to_dict(), sort_keys=True)}\n"
@@ -130,10 +132,7 @@ def read_capture(path: str) -> Capture:
         if label != str(lane):
             raise ParseError(f"lane section {lane} is labelled {label!r}")
         values.append(_row_values(lane, rows, fmt))
-    if fmt == FORMAT_SYMBOL10:
-        return Capture(fmt, cfg, seed, symbols=[v.astype(np.uint16) for v in values])
-    return Capture(fmt, cfg, seed, chars=[((v & 0xFF).astype(np.uint8), v >= 256)
-                                          for v in values])
+    return Capture(fmt, cfg, seed, **{_FIELD[fmt]: values})
 
 
 def _row_values(lane: int, rows: str, fmt: str) -> np.ndarray:
@@ -154,7 +153,7 @@ def _row_values(lane: int, rows: str, fmt: str) -> np.ndarray:
                     else "two hex digits, a space and K or D")
         row = rows.split("\n")[k]
         raise ParseError(f"lane {lane} row {k}: expected {expected}, got {row!r}")
-    return values
+    return values.astype(np.uint16)
 
 
 def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,

@@ -26,8 +26,7 @@ from .config import (ILAS_FIELD_LAYOUT, ConfigError, IlasConfig, LinkConfig,
                      ParseError, check_int, validate_config)
 from .rx_core import RxReceiver
 from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, _SegmentCheck,
-                          drive_receiver, measure_latency_determinism,
-                          pack_chars)
+                          drive_receiver, measure_latency_determinism)
 from .tx_model import PayloadSpec
 
 EXIT_OK = 0
@@ -152,13 +151,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.format == FORMAT_SYMBOL10:
         cap = Capture(FORMAT_SYMBOL10, cfg, seed, symbols=sim.received_symbols)
     else:
-        chars = []
-        for syms in sim.received_symbols:
-            octs, ctrl, nit, derr, _ = codec.decode_stream(syms, codec.RD_NEG)
-            if bool(nit.any()) or bool(derr.any()):
+        chars = [codec.decode_stream(syms, codec.RD_NEG)[0]
+                 for syms in sim.received_symbols]
+        for lane in chars:
+            if bool((lane & (codec.NIT_FLAG | codec.DERR_FLAG)).any()):
                 print("warning: capture contains decode errors; octet_flag "
                       "format cannot represent them", file=sys.stderr)
-            chars.append((octs, ctrl))
         cap = Capture(FORMAT_OCTET_FLAG, cfg, seed, chars=chars)
     write_capture(args.out, cap)
     print(f"wrote {args.format} capture: {args.out}")
@@ -167,16 +165,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _capture_chars(cap: Capture) -> list[np.ndarray]:
     """Decode a capture into per-lane packed characters, whole cycles only."""
-    lanes = []
-    if cap.fmt == FORMAT_SYMBOL10:
-        for syms in cap.symbols:
-            _, aligned = codec.bit_align(syms)
-            octs, ctrl, nit, derr, _ = codec.decode_stream(aligned, codec.RD_NEG)
-            lanes.append(pack_chars(octs, ctrl, nit, derr))
-    else:
-        for octs, ctrl in cap.chars:
-            clean = np.zeros(octs.shape[0], dtype=bool)
-            lanes.append(pack_chars(octs, ctrl, clean, clean))
+    lanes = cap.chars if cap.fmt == FORMAT_OCTET_FLAG else [
+        codec.decode_stream(codec.bit_align(words)[1], codec.RD_NEG)[0] for words in cap.symbols]
     n_octets = 4 * (min(lane.shape[0] for lane in lanes) // 4)
     return [lane[:n_octets] for lane in lanes]
 

@@ -1,10 +1,17 @@
 """8b/10b line coding, serialization and comma-based bit alignment.
 
-Models the physical-layer transceiver: octets plus a control flag go in,
-10-bit symbols come out, with the running disparity threaded explicitly.
-Symbols are plain ints whose bit 9 is the first bit on the wire
-(transmission order ``a b c d e i f g h j``), so ``K28.5`` at negative
-disparity prints as ``0b0011111010``.
+Models the physical-layer transceiver: characters go in, 10-bit symbols
+come out, with the running disparity threaded explicitly.  Symbols are
+plain ints whose bit 9 is the first bit on the wire (transmission order
+``a b c d e i f g h j``), so ``K28.5`` at negative disparity prints as
+``0b0011111010``.
+
+A lane's characters take one format from transmitter to receiver, the
+packed character: a uint16 with the octet in bits 7:0, ``CTRL_FLAG``
+(bit 8) for a control character and, once decoded, ``NIT_FLAG`` (bit 9,
+not in table) and ``DERR_FLAG`` (bit 10, disparity error).  The stream
+forms take and return packed arrays, through one table each way; the
+scalar forms and :class:`Char` serve the codec criterion and the demos.
 
 The transmit side is restricted to the five control characters the link
 layer uses:
@@ -20,8 +27,8 @@ name  code     octet
 ====  =======  =====
 
 Decoding is table-driven and total: symbols outside the code tables come
-back as octet 0 with ``not_in_table`` set, symbols legal only under the
-opposite running disparity set ``disparity_error``, and the disparity
+back as octet 0 with ``NIT_FLAG`` set, symbols legal only under the
+opposite running disparity set ``DERR_FLAG``, and the disparity
 always advances deterministically (by the sign of the symbol's bit
 imbalance).  Errors are flags on the decoded character, never
 exceptions; the receiver state machine consumes them.
@@ -54,6 +61,11 @@ K_Q = CONTROL_OCTETS["Q"]
 K_K = CONTROL_OCTETS["K"]
 K_F = CONTROL_OCTETS["F"]
 
+# Packed-character flags, above the octet in bits 7:0.
+CTRL_FLAG = 1 << 8    # control (K) character
+NIT_FLAG = 1 << 9     # symbol not in the code table (octet 0)
+DERR_FLAG = 1 << 10   # symbol legal only at the other running disparity
+
 # 7-bit commas (in K28.5/K28.7), first bit on the wire in bit 6.
 _COMMA_NEG = 0b0011111
 _COMMA_POS = 0b1100000
@@ -61,7 +73,8 @@ _COMMA_SEARCH_WORDS = 128  # first bit_align window
 
 
 class InvalidControlCode(ValueError):
-    """Control encode requested for an octet outside the K-code set."""
+    """Encode requested for a control octet outside the K-code set, or for
+    a character carrying error flags."""
 
 
 class NoCommaFound(ValueError):
@@ -118,9 +131,7 @@ def _encode_raw(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
     """Table encode of one character; returns (symbol, next rd)."""
     x = octet & 0x1F
     y = octet >> 5
-    if is_control:
-        if octet not in _K_SET:
-            raise InvalidControlCode(f"octet 0x{octet:02X} is not a valid K code here")
+    if is_control:   # one of _K_SET, all of them K28.y
         six, unbal6, flip6 = 0b110000, True, True
     else:
         six, unbal6, flip6 = _5B6B[x], _5B6B_UNBAL[x], _5B6B_FLIP[x]
@@ -146,46 +157,33 @@ def _encode_raw(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
 
 _K_SET = frozenset(CONTROL_OCTETS.values())
 
-# Encode tables: symbol and disparity flip per (rd, octet).
-ENC_D_SYM = np.zeros((2, 256), dtype=np.uint16)
-ENC_K_SYM = np.zeros((2, 256), dtype=np.uint16)
-ENC_D_FLIP = np.zeros(256, dtype=np.uint8)
-ENC_K_FLIP = np.zeros(256, dtype=np.uint8)
-IS_K_OCTET = np.zeros(256, dtype=bool)
+# Encode tables indexed by packed character: the symbol at each entering
+# disparity (0, never a code, for a control octet outside the K set) and
+# whether the character flips the disparity.
+ENC_SYM = np.zeros((2, 2 * CTRL_FLAG), dtype=np.uint16)
+ENC_FLIP = np.zeros(2 * CTRL_FLAG, dtype=np.uint8)
 
-# Decode tables indexed by the 10-bit symbol.
-DEC_OCTET = np.zeros(1024, dtype=np.uint8)
-DEC_CTRL = np.zeros(1024, dtype=bool)
-DEC_VALID = np.zeros((2, 1024), dtype=bool)   # legal when entered at this rd
-DEC_IN_TABLE = np.zeros(1024, dtype=bool)
+# Decode table: the packed character each symbol decodes to at each
+# entering disparity, error flags included.
+DEC_CHAR = np.full((2, 1024), NIT_FLAG, dtype=np.uint16)
 
 POP10 = np.array([int(s).bit_count() for s in range(1024)], dtype=np.uint8)
 
 
 def _build_tables() -> None:
-    for rd in (RD_NEG, RD_POS):
-        for octet in range(256):
-            sym, rd_out = _encode_raw(octet, False, rd)
-            ENC_D_SYM[rd, octet] = sym
-            if rd == RD_NEG:
-                ENC_D_FLIP[octet] = rd_out != rd
-            if DEC_IN_TABLE[sym] and (DEC_OCTET[sym] != octet or DEC_CTRL[sym]):
+    decoded: dict[int, int] = {}   # symbol -> the one character it encodes
+    for char in [*range(256), *(CTRL_FLAG | k for k in sorted(_K_SET))]:
+        for rd in (RD_NEG, RD_POS):
+            sym, rd_out = _encode_raw(char & 0xFF, bool(char & CTRL_FLAG), rd)
+            if decoded.setdefault(sym, char) != char:
                 raise AssertionError(f"8b/10b table conflict at symbol {sym:#05x}")
-            DEC_OCTET[sym] = octet
-            DEC_VALID[rd, sym] = True
-            DEC_IN_TABLE[sym] = True
-        for octet in _K_SET:
-            sym, rd_out = _encode_raw(octet, True, rd)
-            ENC_K_SYM[rd, octet] = sym
-            if rd == RD_NEG:
-                ENC_K_FLIP[octet] = rd_out != rd
-            IS_K_OCTET[octet] = True
-            if DEC_IN_TABLE[sym] and not (DEC_CTRL[sym] and DEC_OCTET[sym] == octet):
-                raise AssertionError(f"8b/10b table conflict at symbol {sym:#05x}")
-            DEC_OCTET[sym] = octet
-            DEC_CTRL[sym] = True
-            DEC_VALID[rd, sym] = True
-            DEC_IN_TABLE[sym] = True
+            ENC_SYM[rd, char] = sym
+            ENC_FLIP[char] = rd_out != rd
+            DEC_CHAR[rd, sym] = char
+    for sym, char in decoded.items():
+        for rd in (RD_NEG, RD_POS):
+            if DEC_CHAR[rd, sym] != char:
+                DEC_CHAR[rd, sym] = char | DERR_FLAG
 
 
 _build_tables()
@@ -200,27 +198,27 @@ def _next_rd(sym: int, rd: int) -> int:
     return rd
 
 
+def _invalid(char: int) -> InvalidControlCode:
+    if char >= 2 * CTRL_FLAG:
+        return InvalidControlCode(f"character 0x{char:03X} carries error flags")
+    return InvalidControlCode(f"octet 0x{char & 0xFF:02X} is not a valid K code here")
+
+
 def encode_octet(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
     """Scalar encode without the :class:`Char` wrapper; returns (symbol, rd)."""
-    octet &= 0xFF
-    if is_control:
-        if octet not in _K_SET:
-            raise InvalidControlCode(f"octet 0x{octet:02X} is not a valid K code here")
-        sym = int(ENC_K_SYM[rd, octet])
-    else:
-        sym = int(ENC_D_SYM[rd, octet])
-    return sym, _next_rd(sym, rd)
+    char = (octet & 0xFF) | (CTRL_FLAG if is_control else 0)
+    sym = int(ENC_SYM[rd, char])
+    if not sym:
+        raise _invalid(char)
+    return sym, rd ^ int(ENC_FLIP[char])
 
 
 def decode_octet(sym: int, rd: int) -> tuple[int, bool, bool, bool, int]:
     """Scalar decode; returns (octet, is_control, not_in_table, disparity_error, rd)."""
     sym &= 0x3FF
-    rd_out = _next_rd(sym, rd)
-    if DEC_VALID[rd, sym]:
-        return int(DEC_OCTET[sym]), bool(DEC_CTRL[sym]), False, False, rd_out
-    if DEC_IN_TABLE[sym]:
-        return int(DEC_OCTET[sym]), bool(DEC_CTRL[sym]), False, True, rd_out
-    return 0, False, True, False, rd_out
+    char = int(DEC_CHAR[rd, sym])
+    return (char & 0xFF, bool(char & CTRL_FLAG), bool(char & NIT_FLAG),
+            bool(char & DERR_FLAG), _next_rd(sym, rd))
 
 
 def encode_char(c: Char, rd: int) -> tuple[int, int]:
@@ -245,56 +243,47 @@ def decode_symbol(sym: int, rd: int) -> tuple[Char, int]:
 
 
 # ---------------------------------------------------------------------------
-# Stream (vectorized) forms.  Disparity threading reduces to a cumulative
-# XOR of per-character flips on encode, and to a "latest unbalanced symbol
-# wins" scan on decode; both match the scalar forms exactly.
+# Stream (vectorized) forms on packed characters.  Disparity threading
+# reduces to a cumulative XOR of per-character flips on encode, and to a
+# "latest unbalanced symbol wins" scan on decode; both match the scalar
+# forms exactly.
 # ---------------------------------------------------------------------------
 
-def encode_stream(octets: np.ndarray, ctrl: np.ndarray,
-                  rd: int = RD_NEG) -> tuple[np.ndarray, int]:
-    """Encode a stream of characters; returns (symbols, final rd)."""
-    octets = np.asarray(octets, dtype=np.uint8)
-    ctrl = np.asarray(ctrl, dtype=bool)
-    n = octets.shape[0]
+def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]:
+    """Encode packed characters; returns (symbols, final rd).
+
+    A control octet outside the K set, or a character carrying error
+    flags, raises :class:`InvalidControlCode`.
+    """
+    chars = np.asarray(chars, dtype=np.uint16)
+    n = chars.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.uint16), rd
-    if bool(np.any(ctrl & ~IS_K_OCTET[octets])):
-        bad = octets[ctrl & ~IS_K_OCTET[octets]][0]
-        raise InvalidControlCode(f"octet 0x{bad:02X} is not a valid K code here")
-    flips = np.where(ctrl, ENC_K_FLIP[octets], ENC_D_FLIP[octets])
-    cum = np.bitwise_xor.accumulate(flips)
+    if int(chars.max()) >= 2 * CTRL_FLAG:
+        raise _invalid(int(chars.max()))
+    cum = np.bitwise_xor.accumulate(ENC_FLIP[chars])
     rd_in = np.empty(n, dtype=np.uint8)
     rd_in[0] = rd
     rd_in[1:] = rd ^ cum[:-1]
-    syms = np.where(ctrl, ENC_K_SYM[rd_in, octets], ENC_D_SYM[rd_in, octets])
-    return syms.astype(np.uint16), int(rd ^ cum[-1])
+    syms = ENC_SYM[rd_in, chars]
+    if not syms.all():
+        raise _invalid(int(chars[syms == 0][0]))
+    return syms, int(rd ^ cum[-1])
 
 
-def decode_stream(symbols: np.ndarray, rd: int = RD_NEG
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Decode a symbol stream.
-
-    Returns ``(octets, ctrl, not_in_table, disparity_error, final rd)``.
-    """
+def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]:
+    """Decode a symbol stream; returns (packed characters, final rd)."""
     syms = np.asarray(symbols, dtype=np.uint16) & 0x3FF
     n = syms.shape[0]
     if n == 0:
-        z = np.zeros(0, dtype=bool)
-        return np.zeros(0, dtype=np.uint8), z, z.copy(), z.copy(), rd
+        return np.zeros(0, dtype=np.uint16), rd
     ones = POP10[syms]
-    unbalanced = ones != 5
-    idx = np.maximum.accumulate(np.where(unbalanced, np.arange(n), -1))
+    idx = np.maximum.accumulate(np.where(ones != 5, np.arange(n), -1))
     rd_after = np.where(idx >= 0, ones[np.maximum(idx, 0)] > 5, bool(rd))
     rd_in = np.empty(n, dtype=np.uint8)
     rd_in[0] = rd
     rd_in[1:] = rd_after[:-1]
-
-    in_table = DEC_IN_TABLE[syms]
-    octets = np.where(in_table, DEC_OCTET[syms], 0).astype(np.uint8)
-    ctrl = DEC_CTRL[syms] & in_table
-    nit = ~in_table
-    derr = in_table & ~DEC_VALID[rd_in, syms]
-    return octets, ctrl, nit, derr, int(rd_after[-1])
+    return DEC_CHAR[rd_in, syms], int(rd_after[-1])
 
 
 # ---------------------------------------------------------------------------

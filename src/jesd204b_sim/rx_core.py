@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import scrambler
-from .codec8b10b import K_A, K_K, K_Q, K_R
+from .codec8b10b import CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R, NIT_FLAG
 from .config import (ERROR_WINDOW_CYCLES, ILAS_CONFIG_LEN, ILAS_MULTIFRAMES,
                      OCTETS_PER_CYCLE, POLICY_STRICT, IlasConfig, LinkConfig,
                      validate_config)
@@ -59,14 +59,7 @@ _WAIT_R = 1
 _CAPTURE = 2
 _DATA = 3
 
-# Packed-character layout: octet in bits 7:0, flags above.
-CTRL_FLAG = 1 << 8
-NIT_FLAG = 1 << 9
-DERR_FLAG = 1 << 10
-_CTRL = CTRL_FLAG
-_NIT = NIT_FLAG
-_DERR = DERR_FLAG
-_FLAGS = _NIT | _DERR
+_FLAGS = NIT_FLAG | DERR_FLAG
 
 
 class Lmfc:
@@ -128,8 +121,8 @@ class LaneState:
         return self.ilas_ok and len(self.buffer) >= OCTETS_PER_CYCLE
 
 
-_K_CLEAN = K_K | _CTRL
-_R_CLEAN = K_R | _CTRL
+_K_CLEAN = K_K | CTRL_FLAG
+_R_CLEAN = K_R | CTRL_FLAG
 
 
 class RxReceiver:
@@ -245,10 +238,10 @@ class RxReceiver:
         self.events.append((self.cycle, lane, name, detail))
 
     def _count_flags(self, packed: int) -> None:
-        if packed & _NIT:
+        if packed & NIT_FLAG:
             self.error_counts["not_in_table"] += 1
             self._err_cycles.append(self.cycle)
-        elif packed & _DERR:
+        elif packed & DERR_FLAG:
             self.error_counts["disparity_error"] += 1
             self._err_cycles.append(self.cycle)
 
@@ -358,14 +351,14 @@ class RxReceiver:
                 if p == 0:
                     ok = v == _R_CLEAN
                 elif p == fk - 1:
-                    ok = v == (K_A | _CTRL)
+                    ok = v == (K_A | CTRL_FLAG)
                 elif lane.mf_count == 1 and p == 1:
-                    ok = v == (K_Q | _CTRL)
+                    ok = v == (K_Q | CTRL_FLAG)
                 elif lane.mf_count == 1 and 2 <= p < 2 + ILAS_CONFIG_LEN:
                     lane.cfg_octets.append(v & 0xFF)
-                    ok = not (v & (_CTRL | _FLAGS))
+                    ok = not (v & (CTRL_FLAG | _FLAGS))
                 else:
-                    ok = not (v & _CTRL)
+                    ok = not (v & CTRL_FLAG)
                 if not ok:
                     lane.markers_ok = False
                     self.error_counts["marker_mismatch"] += 1
@@ -408,7 +401,7 @@ class RxReceiver:
     def _lane_data_word(self, lane: LaneState, word
                         ) -> tuple[int | None, str, str] | None:
         for v in word:
-            if v & _CTRL:
+            if v & CTRL_FLAG:
                 self.error_counts["control_in_data"] += 1
                 name = "comma_in_data" if (v & 0xFF) == K_K else "control_in_data"
                 return (lane.idx, name, f"octet=0x{v & 0xFF:02X}")

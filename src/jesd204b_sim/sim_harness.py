@@ -48,7 +48,7 @@ from . import codec8b10b as codec
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import (IlasConfig, LinkConfig, ParseError, check_int,
                      validate_config)
-from .rx_core import CTRL_FLAG, DERR_FLAG, NIT_FLAG, RxFsm, RxReceiver
+from .rx_core import RxFsm, RxReceiver
 from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
 
 OCTETS_PER_CYCLE = 4
@@ -280,16 +280,6 @@ class _BitErrors:
         self.pending = [p[np.searchsorted(p, bit):] for p in self.pending]
 
 
-def pack_chars(octets: np.ndarray, ctrl: np.ndarray, nit: np.ndarray,
-               derr: np.ndarray) -> np.ndarray:
-    """Decoded characters in the receiver's packed layout (octet | flags)."""
-    packed = octets.astype(np.uint16)
-    packed[ctrl] |= CTRL_FLAG
-    packed[nit] |= NIT_FLAG
-    packed[derr] |= DERR_FLAG
-    return packed
-
-
 def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
                    on_release: Callable[[int], None],
                    on_output: Callable[[list[np.ndarray]], None],
@@ -297,15 +287,16 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
                    ) -> tuple[int, int]:
     """Feed packed characters to ``rx``, four per lane per cycle.
 
-    ``chars[l]`` holds lane l's next characters in the layout of
-    :func:`pack_chars`; cycles are numbered by the receiver's own clock,
-    which also places the SYSREF pulses.  With ``fast``, every flag-free
-    span of a released, synchronized link goes through
-    :meth:`RxReceiver.fast_forward`.  Everything else steps, which
-    establishes that method's precondition: bring-up, each flagged cycle
-    and the cycle after it (a flagged octet can wait one cycle in a
-    lane's rotation residue), and the first cycle of the call (the
-    residue may hold a flagged octet from the previous call).
+    ``chars[l]`` holds lane l's next decoded characters as the packed
+    uint16 values of :mod:`.codec8b10b` (octet | flags); cycles are
+    numbered by the receiver's own clock, which also places the SYSREF
+    pulses.  With ``fast``, every flag-free span of a released,
+    synchronized link goes through :meth:`RxReceiver.fast_forward`.
+    Everything else steps, which establishes that method's precondition:
+    bring-up, each flagged cycle and the cycle after it (a flagged octet
+    can wait one cycle in a lane's rotation residue), and the first cycle
+    of the call (the residue may hold a flagged octet from the previous
+    call).
 
     Released output is reported in order: ``on_release(cycle)`` opens an
     output segment, ``on_output(per-lane octets)`` appends to the open
@@ -437,11 +428,10 @@ class Simulation:
         tx, rx = self.tx, self.rx
         tx.reset()
         rx.reset()
-        # What each lane receives, from octet ``_line_base`` on: its idle
-        # fill, then everything the transmitter has sent.
-        self._line = [np.full(fill, self.channel.idle_octet, np.uint8)
+        # The characters each lane receives, from octet ``_line_base`` on:
+        # its idle fill, then everything the transmitter has sent.
+        self._line = [np.full(fill, self.channel.idle_octet, np.uint16)
                       for fill in self.fills]
-        self._line_ctrl = [np.zeros(fill, bool) for fill in self.fills]
         self._line_base = 0
         self._tx_data_cycle = -1
         flips = _BitErrors(self.channel, lanes)
@@ -493,7 +483,6 @@ class Simulation:
                 snap, self._tx_data_cycle, line_len = tx_state
                 tx.restore(snap)
                 self._line = [a[:k] for a, k in zip(self._line, line_len)]
-                self._line_ctrl = [a[:k] for a, k in zip(self._line_ctrl, line_len)]
                 self._tx_chunk(t, done, sync)
                 chunk = _FIRST_CHUNK_CYCLES
             else:
@@ -517,7 +506,6 @@ class Simulation:
             flips.forget(BITS_PER_CYCLE * t)
             drop = OCTETS_PER_CYCLE * t - self._line_base
             self._line = [a[drop:] for a in self._line]
-            self._line_ctrl = [a[drop:] for a in self._line_ctrl]
             self._line_base += drop
 
         return self._build_report(duration, fast_used, segments, seg_data_cycle,
@@ -536,16 +524,14 @@ class Simulation:
         lo = OCTETS_PER_CYCLE * t0 - self._line_base
         hi = lo + OCTETS_PER_CYCLE * n_cycles
         for lane in range(self.cfg.L):
-            syms, enc_end = codec.encode_stream(self._line[lane][lo:hi],
-                                                self._line_ctrl[lane][lo:hi],
-                                                enc_rd[lane])
+            syms, enc_end = codec.encode_stream(self._line[lane][lo:hi], enc_rd[lane])
             pos = flips.take(lane, BITS_PER_CYCLE * t0,
                              BITS_PER_CYCLE * (t0 + n_cycles)) - BITS_PER_CYCLE * t0
             if pos.shape[0]:
                 np.bitwise_xor.at(syms, pos // 10,
                                   (1 << (9 - pos % 10)).astype(np.uint16))
-            octs, ctrl, nit, derr, dec_end = codec.decode_stream(syms, dec_rd[lane])
-            chars.append(pack_chars(octs, ctrl, nit, derr))
+            lane_chars, dec_end = codec.decode_stream(syms, dec_rd[lane])
+            chars.append(lane_chars)
             if self.collect_received:
                 line.append(syms)
             lane_flips.append(pos)
@@ -570,9 +556,7 @@ class Simulation:
             self._tx_data_cycle = -1
         elif data_cycles and self._tx_data_cycle < 0:
             self._tx_data_cycle = t0 + n_cycles - data_cycles
-        for lane, (octets, ctrl) in enumerate(lanes):
-            self._line[lane] = np.concatenate([self._line[lane], octets])
-            self._line_ctrl[lane] = np.concatenate([self._line_ctrl[lane], ctrl])
+        self._line = [np.concatenate([line, sent]) for line, sent in zip(self._line, lanes)]
 
     # -- reporting -------------------------------------------------------------
 

@@ -7,10 +7,11 @@ multiframes (/R/ start, /A/ end, /Q/ plus the 14 configuration octets in
 the second multiframe, position-counter ramp elsewhere) and then streams
 payload, scrambled per lane when enabled.
 
-Any span of cycles is emitted at once as per-lane (octets, control-flag)
-arrays with the sync request held over the span: a filled comma array, a
-slice of the prebuilt alignment sequence, then bulk payload.  Stepping
-one cycle is the one-cycle span.
+Any span of cycles is emitted at once as per-lane arrays of packed
+characters (octet | ``CTRL_FLAG``, see :mod:`.codec8b10b`) with the sync
+request held over the span: a filled comma array, a slice of the
+prebuilt alignment sequence, then bulk payload.  Stepping one cycle is
+the one-cycle span.
 
 Payload is produced by a deterministic, seekable generator so the
 harness can regenerate any slice for exact comparison instead of logging
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scrambler
-from .codec8b10b import K_A, K_K, K_Q, K_R
+from .codec8b10b import CTRL_FLAG, K_A, K_K, K_Q, K_R
 from .config import (ILAS_MULTIFRAMES, OCTETS_PER_CYCLE, IlasConfig,
                      LinkConfig, ParseError, check_int, validate_config)
 
@@ -125,8 +126,8 @@ def lane_payload_octets(spec: PayloadSpec, lanes: int, lane: int,
     return out
 
 
-def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-lane alignment sequence as (octets, control-flag) arrays.
+def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[np.ndarray]:
+    """Per-lane alignment sequence as packed characters.
 
     Four multiframes per lane: /R/ first, /A/ last, /Q/ plus the packed
     configuration octets at the start of multiframe 2.  Lanes differ only
@@ -140,17 +141,12 @@ def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[tuple[np.ndarray, np.n
     for lane in range(cfg.L):
         ic = dataclasses.replace(base, lid=(base.lid + lane) & 0x1F)
         image = ic.pack(cfg.fchk_rule)
-        octets = (np.arange(total) % 256).astype(np.uint8)
-        ctrl = np.zeros(total, dtype=bool)
-        for mf in range(ILAS_MULTIFRAMES):
-            octets[mf * fk] = K_R
-            ctrl[mf * fk] = True
-            octets[mf * fk + fk - 1] = K_A
-            ctrl[mf * fk + fk - 1] = True
-        octets[fk + 1] = K_Q
-        ctrl[fk + 1] = True
-        octets[fk + 2: fk + 2 + len(image)] = np.frombuffer(image, dtype=np.uint8)
-        lanes.append((octets, ctrl))
+        chars = (np.arange(total) % 256).astype(np.uint16)
+        chars[::fk] = CTRL_FLAG | K_R
+        chars[fk - 1::fk] = CTRL_FLAG | K_A
+        chars[fk + 1] = CTRL_FLAG | K_Q
+        chars[fk + 2: fk + 2 + len(image)] = np.frombuffer(image, dtype=np.uint8)
+        lanes.append(chars)
     return lanes
 
 
@@ -192,8 +188,8 @@ class TxLink:
         self.data_segments.append(self.lane_octets_sent)
 
     def emit(self, n_cycles: int, sync_request: bool, boundary: int | None
-             ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Emit ``n_cycles`` per lane as (octets, control-flag) arrays.
+             ) -> list[np.ndarray]:
+        """Emit ``n_cycles`` per lane as packed characters.
 
         ``sync_request`` is held for the whole span; ``boundary`` is the
         offset of the span's first multiframe start, or None if the span
@@ -207,23 +203,20 @@ class TxLink:
             self.phase = PHASE_CGS if cgs == n_cycles else PHASE_ILAS
             self.ilas_pos = 0
         count = OCTETS_PER_CYCLE * cgs
-        lanes = [([np.full(count, K_K, np.uint8)], [np.ones(count, bool)])
-                 for _ in range(self.cfg.L)]
+        lanes = [[np.full(count, CTRL_FLAG | K_K, np.uint16)] for _ in range(self.cfg.L)]
         left = OCTETS_PER_CYCLE * (n_cycles - cgs)
         if self.phase == PHASE_ILAS and left:
             pos = self.ilas_pos
             self.ilas_pos = min(self._ilas_len, pos + left)
-            for (octets, ctrl), (ilas_octets, ilas_ctrl) in zip(lanes, self._ilas):
-                octets.append(ilas_octets[pos: self.ilas_pos])
-                ctrl.append(ilas_ctrl[pos: self.ilas_pos])
+            for parts, ilas in zip(lanes, self._ilas):
+                parts.append(ilas[pos: self.ilas_pos])
             left -= self.ilas_pos - pos
             if self.ilas_pos == self._ilas_len:
                 self._enter_data()
         if left:
-            for (octets, ctrl), data in zip(lanes, self.bulk_data(left // OCTETS_PER_CYCLE)):
-                octets.append(data)
-                ctrl.append(np.zeros(data.shape[0], bool))
-        return [(np.concatenate(octets), np.concatenate(ctrl)) for octets, ctrl in lanes]
+            for parts, data in zip(lanes, self.bulk_data(left // OCTETS_PER_CYCLE)):
+                parts.append(data)
+        return [np.concatenate(parts, dtype=np.uint16) for parts in lanes]
 
     def step(self, sync_request: bool, lmfc_boundary: bool
              ) -> list[tuple[tuple[int, int, int, int], int]]:
@@ -231,9 +224,12 @@ class TxLink:
 
         Bit i of the control mask marks octet i as a control character.
         """
-        return [(tuple(octets.tolist()), int(np.packbits(ctrl, bitorder="little")[0]))
-                for octets, ctrl in self.emit(1, sync_request,
-                                              0 if lmfc_boundary else None)]
+        words = []
+        for lane in self.emit(1, sync_request, 0 if lmfc_boundary else None):
+            chars = lane.tolist()
+            words.append((tuple(c & 0xFF for c in chars),
+                          sum(1 << i for i, c in enumerate(chars) if c & CTRL_FLAG)))
+        return words
 
     def bulk_data(self, n_cycles: int) -> list[np.ndarray]:
         """Emit ``n_cycles`` worth of data-phase octets per lane.

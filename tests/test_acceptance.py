@@ -44,8 +44,8 @@ def test_criterion_1_codec_roundtrip_and_disparity():
             assert ch == Char(octet, is_control=True) and rd_dec == rd_out
 
     rng = np.random.default_rng(1)
-    octets = rng.integers(0, 256, 1_000_000).astype(np.uint8)
-    syms, _ = encode_stream(octets, np.zeros(octets.shape[0], bool), RD_NEG)
+    chars = rng.integers(0, 256, 1_000_000).astype(np.uint16)
+    syms, _ = encode_stream(chars, RD_NEG)
     imbalance = POP10[syms].astype(np.int64) * 2 - 10
     running = np.cumsum(imbalance) - 1
     assert np.isin(running, (-1, 1)).all()

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, RD_NEG, RD_POS, Char,
+from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, CTRL_FLAG, DERR_FLAG,
+                                     NIT_FLAG, RD_NEG, RD_POS, Char,
                                      InvalidControlCode, NoCommaFound,
                                      bit_align, decode_stream, decode_symbol,
                                      encode_char, encode_stream, serialize)
 
 K_CODES = sorted(CONTROL_OCTETS.values())
+K28_5 = CTRL_FLAG | 0xBC
 
 
 def disparity_oracle(sym: int) -> int:
@@ -88,8 +90,8 @@ class TestDisparityBound:
 
     def test_dc_balance_over_encoded_sequence(self):
         rng = np.random.default_rng(1)
-        octets = rng.integers(0, 256, 4000).astype(np.uint8)
-        syms, _ = encode_stream(octets, np.zeros(4000, bool), RD_NEG)
+        chars = rng.integers(0, 256, 4000).astype(np.uint16)
+        syms, _ = encode_stream(chars, RD_NEG)
         bits = serialize(syms).astype(np.int64)
         excess = np.cumsum(2 * bits - 1)
         boundary = excess[9::10]
@@ -124,31 +126,58 @@ class TestErrorFlags:
 class TestStreamForms:
     def test_stream_matches_scalar(self):
         rng = np.random.default_rng(2)
-        octets = rng.integers(0, 256, 3000).astype(np.uint8)
-        ctrl = np.zeros(3000, bool)
-        ctrl[::71] = True
-        octets[ctrl] = 0xBC
-        syms, rd_enc = encode_stream(octets, ctrl, RD_NEG)
+        chars = rng.integers(0, 256, 3000).astype(np.uint16)
+        chars[::71] = K28_5
+        syms, rd_enc = encode_stream(chars, RD_NEG)
         rd = RD_NEG
         for i in range(3000):
-            s, rd = encode_char(Char(int(octets[i]), bool(ctrl[i])), rd)
+            c = int(chars[i])
+            s, rd = encode_char(Char(c & 0xFF, bool(c & CTRL_FLAG)), rd)
             assert s == syms[i]
         assert rd == rd_enc
 
         noisy = syms.copy()
         noisy[::311] ^= 0x041
-        o, c, nit, derr, rd_dec = decode_stream(noisy, RD_NEG)
+        got, rd_dec = decode_stream(noisy, RD_NEG)
         rd = RD_NEG
         for i in range(3000):
             ch, rd = decode_symbol(int(noisy[i]), rd)
-            assert (ch.octet, ch.is_control, ch.not_in_table,
-                    ch.disparity_error) == (o[i], c[i], nit[i], derr[i])
+            assert packed(ch) == got[i]
         assert rd == rd_dec
 
     def test_stream_rejects_bad_control(self):
-        octets = np.array([0x55], dtype=np.uint8)
         with pytest.raises(InvalidControlCode):
-            encode_stream(octets, np.array([True]))
+            encode_stream(np.array([CTRL_FLAG | 0x55], dtype=np.uint16))
+
+    @pytest.mark.parametrize("char", [CTRL_FLAG | 0x00, NIT_FLAG, 0x41 | DERR_FLAG,
+                                      K28_5 | NIT_FLAG])
+    def test_stream_rejects_control_outside_k_set_and_flagged(self, char):
+        chars = np.full(9, 0x41, dtype=np.uint16)
+        chars[5] = char
+        with pytest.raises(InvalidControlCode):
+            encode_stream(chars)
+
+    def test_every_pair_matches_the_scalar_forms(self):
+        # Exhaustive: each (rd, character) encodes as encode_char does and
+        # each (rd, symbol) decodes as decode_symbol does, flags included,
+        # through one-element streams.
+        chars = [*range(256), *(CTRL_FLAG | k for k in K_CODES)]
+        assert len(chars) == 261
+        for rd in (RD_NEG, RD_POS):
+            for c in chars:
+                got = encode_stream(np.array([c], dtype=np.uint16), rd)
+                want = encode_char(Char(c & 0xFF, bool(c & CTRL_FLAG)), rd)
+                assert (int(got[0][0]), got[1]) == want
+            for sym in range(1024):
+                got, rd_out = decode_stream(np.array([sym], dtype=np.uint16), rd)
+                ch, want_rd = decode_symbol(sym, rd)
+                assert (int(got[0]), rd_out) == (packed(ch), want_rd)
+
+
+def packed(ch: Char) -> int:
+    """A decoded :class:`Char` as the stream forms pack it."""
+    return (ch.octet | CTRL_FLAG * ch.is_control | NIT_FLAG * ch.not_in_table
+            | DERR_FLAG * ch.disparity_error)
 
 
 # Comma patterns in transmission order, for the bit-level references.
@@ -173,8 +202,7 @@ def first_comma(bits):
 
 class TestSerializeAndAlign:
     def _cgs_bits(self, n=64):
-        octets = np.full(n, 0xBC, np.uint8)
-        syms, _ = encode_stream(octets, np.ones(n, bool), RD_NEG)
+        syms, _ = encode_stream(np.full(n, K28_5, np.uint16), RD_NEG)
         return serialize(syms), syms
 
     def test_aligned_stream_offset_zero_identity(self):
@@ -201,7 +229,7 @@ class TestSerializeAndAlign:
     def test_comma_after_long_idle_lead_in(self):
         # A skewed lane's capture starts with hundreds of idle symbols
         # before its first comma.
-        idle, _ = encode_stream(np.zeros(600, np.uint8), np.zeros(600, bool), RD_NEG)
+        idle, _ = encode_stream(np.zeros(600, np.uint16), RD_NEG)
         bits, syms = self._cgs_bits()
         offset, back = bit_align(words_of(np.concatenate([np.ones(4, np.uint8),
                                                           serialize(idle), bits])))
@@ -214,8 +242,8 @@ class TestSerializeAndAlign:
         # stream is found, then assert bit_align refuses it.
         rng = np.random.default_rng(3)
         for _ in range(50):
-            octets = rng.integers(0, 256, 200).astype(np.uint8)
-            syms, _ = encode_stream(octets, np.zeros(200, bool), RD_NEG)
+            chars = rng.integers(0, 256, 200).astype(np.uint16)
+            syms, _ = encode_stream(chars, RD_NEG)
             if first_comma(serialize(syms)) is None:
                 with pytest.raises(NoCommaFound):
                     bit_align(syms)
@@ -227,8 +255,8 @@ class TestSerializeAndAlign:
         # Data, then one /K/: behind ``shift`` junk bits the comma starts
         # at bit ``shift`` of the last word, and past bit 3 it would run
         # beyond that word.
-        octets = np.append(np.arange(40, dtype=np.uint8), 0xBC)
-        syms, _ = encode_stream(octets, np.arange(41) == 40, RD_NEG)
+        chars = np.append(np.arange(40, dtype=np.uint16), K28_5)
+        syms, _ = encode_stream(chars, RD_NEG)
         bits = np.concatenate([np.zeros(shift, np.uint8), serialize(syms)])
         words = words_of(bits)
         assert first_comma(bits) == 10 * 40 + shift
@@ -247,12 +275,11 @@ class TestSerializeAndAlign:
         rng = np.random.default_rng(5)
         for _ in range(300):
             n = int(rng.integers(1, 200))
-            octets = rng.integers(0, 256, n).astype(np.uint8)
-            ctrl = np.zeros(n, bool)
+            chars = rng.integers(0, 256, n).astype(np.uint16)
             if rng.random() < 0.7:
-                octets[rng.integers(0, n)] = 0xBC
-                ctrl = octets == 0xBC
-            syms, _ = encode_stream(octets, ctrl, int(rng.integers(0, 2)))
+                chars[rng.integers(0, n)] = 0xBC
+                chars[chars == 0xBC] = K28_5
+            syms, _ = encode_stream(chars, int(rng.integers(0, 2)))
             junk = rng.integers(0, 2, int(rng.integers(0, 25))).astype(np.uint8)
             bits = np.concatenate([junk, serialize(syms)])
             covered = bits[: 10 * (len(bits) // 10)]

@@ -10,10 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jesd204b_sim.codec8b10b import K_A, K_K, K_Q
+from jesd204b_sim.codec8b10b import CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, NIT_FLAG
 from jesd204b_sim.config import POLICY_STRICT, IlasConfig, LinkConfig
-from jesd204b_sim.rx_core import (CTRL_FLAG, DERR_FLAG, NIT_FLAG, Lmfc,
-                                  RxFsm, RxReceiver)
+from jesd204b_sim.rx_core import Lmfc, RxFsm, RxReceiver
 from jesd204b_sim.tx_model import PayloadSpec, TxLink, lane_payload_octets
 
 CFG = LinkConfig(L=2, F=4, K=32, scrambling=1)

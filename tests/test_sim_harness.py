@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jesd204b_sim.codec8b10b import K_K, RD_NEG, decode_stream, serialize
+from jesd204b_sim.codec8b10b import CTRL_FLAG, K_K, RD_NEG, decode_stream, serialize
 from jesd204b_sim.config import LinkConfig
 from jesd204b_sim.sim_harness import (ChannelSpec, SimConfigError, Simulation,
                                       SysrefSpec, measure_latency_determinism,
@@ -25,8 +25,8 @@ def received(channel, duration):
 
 
 def first_comma(symbols):
-    octets, ctrl, *_ = decode_stream(symbols, RD_NEG)
-    return int(np.flatnonzero(ctrl & (octets == K_K))[0])
+    chars, _ = decode_stream(symbols, RD_NEG)
+    return int(np.flatnonzero(chars == CTRL_FLAG | K_K)[0])
 
 
 class TestCleanRuns:

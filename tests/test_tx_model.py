@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jesd204b_sim import scrambler
-from jesd204b_sim.codec8b10b import K_A, K_K, K_Q, K_R
+from jesd204b_sim.codec8b10b import CTRL_FLAG, K_A, K_K, K_Q, K_R
 from jesd204b_sim.config import IlasConfig, LinkConfig
 from jesd204b_sim.tx_model import (PayloadSpec, TxLink, build_ilas,
                                    lane_payload_octets, payload_samples)
@@ -48,37 +48,36 @@ class TestIlasLayout:
         base = IlasConfig.from_link_config(CFG, channels=16)
         lanes = build_ilas(CFG, base)
         fk = CFG.fk
-        for octets, ctrl in lanes:
-            assert octets.shape[0] == 4 * fk
+        for chars in lanes:
+            assert chars.shape[0] == 4 * fk and chars.dtype == np.uint16
             for mf in range(4):
-                assert octets[mf * fk] == K_R and ctrl[mf * fk]
-                assert octets[mf * fk + fk - 1] == K_A and ctrl[mf * fk + fk - 1]
-            assert octets[fk + 1] == K_Q and ctrl[fk + 1]
+                assert chars[mf * fk] == CTRL_FLAG | K_R
+                assert chars[mf * fk + fk - 1] == CTRL_FLAG | K_A
+            assert chars[fk + 1] == CTRL_FLAG | K_Q
 
     def test_config_octets_at_second_multiframe(self):
         base = IlasConfig.from_link_config(CFG, channels=16)
         lanes = build_ilas(CFG, base)
         fk = CFG.fk
-        for lane, (octets, ctrl) in enumerate(lanes):
+        for lane, chars in enumerate(lanes):
             expected = dataclasses.replace(base, lid=base.lid + lane).pack()
-            got = bytes(octets[fk + 2: fk + 16].tolist())
+            got = bytes(chars[fk + 2: fk + 16].tolist())   # data: no flag bits
             assert got == expected
-            assert not ctrl[fk + 2: fk + 16].any()
 
     def test_lanes_differ_only_in_lid_and_checksum(self):
         lanes = build_ilas(CFG, IlasConfig.from_link_config(CFG))
-        a, b = lanes[0][0], lanes[1][0]
+        a, b = lanes
         diff = np.flatnonzero(a != b)
         fk = CFG.fk
         assert set(diff.tolist()) == {fk + 2 + 2, fk + 2 + 13}  # lid, fchk octets
 
     def test_filler_is_position_ramp(self):
-        octets, ctrl = build_ilas(CFG, IlasConfig.from_link_config(CFG))[0]
-        filler = ~ctrl
+        chars = build_ilas(CFG, IlasConfig.from_link_config(CFG))[0]
+        filler = chars < CTRL_FLAG
         fk = CFG.fk
         filler[fk + 2: fk + 16] = False  # config octets are not ramp
         pos = np.flatnonzero(filler)
-        assert (octets[pos] == (pos % 256)).all()
+        assert (chars[pos] == (pos % 256)).all()
 
 
 class TestDataPhase:
