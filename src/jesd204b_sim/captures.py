@@ -188,14 +188,4 @@ def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,
 def write_sample_csv(path: str, rows: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(SAMPLE_CSV_HEADER + "\n")
-        for s, c, v in rows:
-            fh.write(f"{s},{c},{v}\n")
-
-
-def read_sample_csv(path: str) -> np.ndarray:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != SAMPLE_CSV_HEADER:
-            raise ParseError(f"unexpected CSV header {header!r}")
-        rows = [tuple(int(x) for x in line.split(",")) for line in fh if line.strip()]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+        fh.writelines(f"{s},{c},{v}\n" for s, c, v in rows.tolist())

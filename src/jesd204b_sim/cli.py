@@ -114,6 +114,7 @@ def _write_report(report_json: str, path: str | None) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    check_int("--max-resyncs", args.max_resyncs, 0)
     cfg, sections = parse_config(args.config)
     _apply_seed(sections, args.seed)
     duration = (args.duration if args.duration is not None
@@ -153,10 +154,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         chars = [codec.decode_stream(syms, codec.RD_NEG)[0]
                  for syms in sim.received_symbols]
-        for lane in chars:
-            if bool((lane & (codec.NIT_FLAG | codec.DERR_FLAG)).any()):
-                print("warning: capture contains decode errors; octet_flag "
-                      "format cannot represent them", file=sys.stderr)
+        if any((lane & (codec.NIT_FLAG | codec.DERR_FLAG)).any() for lane in chars):
+            print("warning: capture contains decode errors; octet_flag "
+                  "format cannot represent them", file=sys.stderr)
         cap = Capture(FORMAT_OCTET_FLAG, cfg, seed, chars=chars)
     write_capture(args.out, cap)
     print(f"wrote {args.format} capture: {args.out}")
@@ -204,6 +204,8 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    if args.channels is not None:
+        check_int("--channels", args.channels, 1)
     cap = read_capture(args.capture)
     payload = sysref = None
     channels = args.channels

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jesd204b_sim.captures import (SAMPLE_CSV_HEADER, read_capture,
-                                   read_sample_csv, write_capture, Capture)
+                                   write_capture, Capture)
 from jesd204b_sim.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, parse_config
 from jesd204b_sim.config import LinkConfig, ParseError
 from jesd204b_sim.tx_model import PayloadSpec, payload_samples
@@ -112,6 +112,20 @@ class TestSimulateCommand:
                 "gen": ["--cycles", "0", "--out", str(tmp_path / "cap.txt")]}
         assert main([command, "--config", config_path(), *argv[command]]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command,option,value", [
+        ("decode", "--channels", "0"), ("decode", "--channels", "-3"),
+        ("simulate", "--max-resyncs", "-1")])
+    def test_option_out_of_range_exit_usage_naming_it(self, config_path, tmp_path,
+                                                      capsys, command, option, value):
+        cap = tmp_path / "cap.txt"
+        main(["gen", "--config", config_path(), "--out", str(cap), "--cycles", "400"])
+        argv = {"decode": ["--capture", str(cap), "--dump-samples",
+                           str(tmp_path / "s.csv")],
+                "simulate": ["--config", config_path(), "--duration", "1200"]}
+        capsys.readouterr()
+        assert main([command, *argv[command], option, value]) == EXIT_USAGE
+        assert option in capsys.readouterr().err
+
     def test_skew_beyond_capacity_exit_protocol(self, config_path, tmp_path):
         rep = tmp_path / "rep.json"
         rc = main(["simulate", "--config",
@@ -150,7 +164,8 @@ class TestGenDecodeRoundTrip:
                      "--format", fmt, "--cycles", "1200"]) == EXIT_OK
         assert main(["decode", "--capture", str(cap), "--config", cfgp,
                      "--dump-samples", str(out)]) == EXIT_OK
-        rows = read_sample_csv(str(out))
+        assert out.read_text().split("\n", 1)[0] == SAMPLE_CSV_HEADER
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
         pay = PayloadSpec(kind="random", seed=11, channels=4)
         j = rows[:, 0] * 4 + rows[:, 1]
         expected = payload_samples(pay, j)
@@ -169,6 +184,14 @@ class TestGenDecodeRoundTrip:
         cap = tmp_path / "cap.txt"
         main(["gen", "--config", cfgp, "--out", str(cap), "--cycles", "1500"])
         assert main(["decode", "--capture", str(cap), "--config", cfgp]) == EXIT_OK
+
+    def test_octet_flag_decode_errors_warned_once(self, config_path, tmp_path, capsys):
+        # Both lanes of this capture carry decode errors.
+        cfgp = config_path(channel={"skew": [3, 21], "bit_error_rate": 1e-4})
+        capsys.readouterr()
+        assert main(["gen", "--config", cfgp, "--out", str(tmp_path / "cap.txt"),
+                     "--format", "octet_flag", "--cycles", "1500"]) == EXIT_OK
+        assert capsys.readouterr().err.count("warning: capture contains decode errors") == 1
 
     def test_decode_uses_the_config_sysref(self, config_path, tmp_path):
         cfgp = config_path(channel={"skew": [5, 38]},
@@ -213,7 +236,8 @@ class TestGenDecodeRoundTrip:
         main(["gen", "--config", cfgp, "--out", str(cap), "--cycles", "1500"])
         assert main(["decode", "--capture", str(cap), "--config", cfgp,
                      "--dump-samples", str(out)]) == EXIT_OK
-        rows = read_sample_csv(str(out))
+        assert out.read_text().split("\n", 1)[0] == SAMPLE_CSV_HEADER
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
         expected = np.clip(
             np.rint(20000 * np.sin(2 * np.pi * rows[:, 0] / 16)),
             -32768, 32767).astype(np.int64)
