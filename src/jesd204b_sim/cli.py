@@ -167,8 +167,8 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
     """Decode a capture into per-lane packed characters, whole cycles only."""
     lanes = cap.chars if cap.fmt == FORMAT_OCTET_FLAG else [
         codec.decode_stream(codec.bit_align(words)[1], codec.RD_NEG)[0] for words in cap.symbols]
-    n_octets = 4 * (min(lane.shape[0] for lane in lanes) // 4)
-    return [lane[:n_octets] for lane in lanes]
+    n_octets = 4 * (min(len(lane) for lane in lanes) // 4)
+    return [np.asarray(lane[:n_octets], dtype=np.uint16) for lane in lanes]
 
 
 def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,

@@ -66,6 +66,17 @@ def test_every_character_round_trips(tmp_path):
     assert np.array_equal(got, chars) and got.dtype == np.uint16
 
 
+def test_octet_flag_replay_takes_any_integer_dtype(live_run):
+    # Library callers may build a capture from plain integer arrays.
+    cfg, sim, report, unshifted = live_run
+    chars = [codec.decode_stream(syms)[0] for syms in sim.received_symbols]
+    for dtype in (np.uint16, np.int64):
+        rx, segments = decode_capture(Capture(FORMAT_OCTET_FLAG, cfg, 0, chars=[
+            lane.astype(dtype) for lane in chars]))
+        assert rx.t_release == report.t_release
+        assert all(np.array_equal(a, b) for a, b in zip(segments[0].arrays(), unshifted))
+
+
 def _words(bits):
     """What a deserializer delivers: consecutive 10-bit groups, tail dropped."""
     n = bits.shape[0] // 10
