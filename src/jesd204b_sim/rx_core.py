@@ -4,10 +4,11 @@ The receiver is stepped once per link clock.  Each step ingests four
 decoded characters per lane and advances, in order: the SYSREF-locked
 multiframe counter, the link state machine
 (RESET -> WAIT_FOR_PHY -> CGS -> ILAS -> SYNCED, with the single
-backward edge to CGS on fault), the per-lane datapaths (octet rotation,
-alignment-sequence capture, descrambling, elastic buffering) and finally
-the centralized buffer release that starts all lanes' output on the same
-cycle at a fixed multiframe phase.
+backward edge to CGS on fault; the PHY wait is a fixed four cycles), the
+per-lane datapaths (octet rotation, alignment-sequence capture checked
+against the layout :func:`.tx_model.build_ilas` transmits, descrambling,
+elastic buffering) and finally the centralized buffer release that
+starts all lanes' output on the same cycle at a fixed multiframe phase.
 
 Per-lane octet rotation anchors on the first clean /K/ comma of the run
 that completes group synchronization; because the transmitter emits
@@ -37,10 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from . import scrambler
-from .codec8b10b import CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R, NIT_FLAG
-from .config import (ERROR_WINDOW_CYCLES, ILAS_CONFIG_LEN, ILAS_MULTIFRAMES,
-                     OCTETS_PER_CYCLE, POLICY_STRICT, IlasConfig, LinkConfig,
-                     validate_config)
+from .codec8b10b import CTRL_FLAG, DERR_FLAG, K_K, K_Q, K_R, NIT_FLAG
+from .config import (ERROR_WINDOW_CYCLES, ILAS_CONFIG_LEN, OCTETS_PER_CYCLE,
+                     POLICY_STRICT, IlasConfig, LinkConfig, validate_config)
+from .tx_model import build_ilas
 
 
 class RxFsm(Enum):
@@ -51,10 +52,9 @@ class RxFsm(Enum):
     SYNCED = "SYNCED"
 
 
-_PHY_READY_RUN = 4  # consecutive ready cycles before leaving WAIT_FOR_PHY
+_CGS_ENTER_CYCLE = 4  # the fixed PHY wait: WAIT_FOR_PHY leaves on this cycle
 
 # Lane datapath modes while the link FSM is in ILAS/SYNCED.
-_IDLE = 0
 _WAIT_R = 1
 _CAPTURE = 2
 _DATA = 3
@@ -90,9 +90,9 @@ class LaneState:
     """Mutable per-lane datapath state."""
 
     __slots__ = (
-        "idx", "rotation", "rot_candidate", "run", "pend", "rot_dropped",
-        "mode", "aligned_count", "mf_count", "mf_pos", "cfg_octets",
-        "markers_ok", "ilas_ok", "dsc_state", "buffer",
+        "idx", "rotation", "run", "pend", "rot_dropped", "mode",
+        "aligned_count", "ilas_pos", "cfg_octets", "markers_ok", "dsc_state",
+        "buffer",
     )
 
     def __init__(self, idx: int):
@@ -101,24 +101,21 @@ class LaneState:
 
     def clear(self) -> None:
         self.rotation: int | None = None
-        self.rot_candidate: int | None = None
         self.run = 0
         self.pend: deque[int] = deque()
         self.rot_dropped = False
-        self.mode = _IDLE
+        self.mode = _WAIT_R
         self.aligned_count = 0
-        self.mf_count = 0
-        self.mf_pos = 0
+        self.ilas_pos = 0
         self.cfg_octets: list[int] = []
         self.markers_ok = True
-        self.ilas_ok = False
         self.dsc_state = scrambler.ALL_ONES
         self.buffer: deque[int] = deque()
 
     @property
     def ready(self) -> bool:
         """Eligible for release: sequence validated and data in the buffer."""
-        return self.ilas_ok and len(self.buffer) >= OCTETS_PER_CYCLE
+        return self.mode == _DATA and len(self.buffer) >= OCTETS_PER_CYCLE
 
 
 _K_CLEAN = K_K | CTRL_FLAG
@@ -132,6 +129,17 @@ class RxReceiver:
         validate_config(cfg)
         self.cfg = cfg
         self.expected_ilas = expected_ilas
+        # One (mask, want) rule per alignment-sequence position: octet v
+        # passes when v & mask == want.  A control character must match
+        # exactly, the configuration octets after /Q/ carry no flag, and
+        # every other octet carries no control flag.
+        ilas = build_ilas(cfg, IlasConfig())[0].tolist()
+        q = ilas.index(K_Q | CTRL_FLAG)
+        self._cfg_span = range(q + 1, q + 1 + ILAS_CONFIG_LEN)
+        self._ilas_rules = [
+            (-1, c) if c & CTRL_FLAG
+            else (CTRL_FLAG | (_FLAGS if p in self._cfg_span else 0), 0)
+            for p, c in enumerate(ilas)]
         self.reset()
 
     def reset(self) -> None:
@@ -141,7 +149,6 @@ class RxReceiver:
         self.sync_request = True
         self.lmfc = Lmfc(cfg.fk)
         self.lanes = [LaneState(i) for i in range(cfg.L)]
-        self._phy_run = 0
         self._stability = 0
         self._err_cycles: deque[int] = deque()
         self.released = False
@@ -162,7 +169,7 @@ class RxReceiver:
     # -- public stepping ----------------------------------------------------
 
     def step_packed(self, words: Sequence[tuple[int, int, int, int]],
-                    sysref: bool = False, phy_ready: bool = True
+                    sysref: bool = False
                     ) -> tuple[tuple[int, int, int, int], ...] | None:
         """Advance one cycle on packed characters (octet | flags << 8).
 
@@ -173,8 +180,8 @@ class RxReceiver:
         cycle = self.cycle
         boundary = self.lmfc.step(sysref)
         if self.lmfc.misaligned:
-            self.lmfc.misaligned = False
             self.error_counts["sysref_misaligned"] += 1
+            self.lmfc.misaligned = False
             self._event(None, "sysref_misaligned", f"phase={self.lmfc.phase}")
 
         fsm = self.fsm
@@ -183,8 +190,7 @@ class RxReceiver:
             return None
 
         if fsm is RxFsm.WAIT_FOR_PHY:
-            self._phy_run = self._phy_run + 1 if phy_ready else 0
-            if self._phy_run >= _PHY_READY_RUN:
+            if cycle >= _CGS_ENTER_CYCLE:
                 self.fsm = RxFsm.CGS
                 self.t_cgs_enter = cycle
                 self._event(None, "cgs_enter", "")
@@ -204,7 +210,7 @@ class RxReceiver:
                         f"window_errors={len(self._err_cycles)}")
             return None
 
-        if self.fsm is RxFsm.ILAS and all(l.ilas_ok for l in self.lanes):
+        if self.fsm is RxFsm.ILAS and all(l.mode == _DATA for l in self.lanes):
             self.fsm = RxFsm.SYNCED
             if self.t_synced < 0:  # measurements track the first bring-up
                 self.t_synced = cycle
@@ -214,7 +220,7 @@ class RxReceiver:
             return None
         if not self.released and all(l.ready for l in self.lanes):
             ph = self.lmfc.phase
-            if self.lmfc.locked and ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
+            if ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
                 self.released = True
                 if self.t_release < 0:  # measurements track the first release
                     self.t_release = cycle
@@ -258,11 +264,9 @@ class RxReceiver:
             for pos in range(OCTETS_PER_CYCLE):
                 v = word[pos]
                 if v == _K_CLEAN:
-                    if lane.run == 0:
-                        lane.rot_candidate = pos
                     lane.run += 1
                     if lane.run >= self.cfg.cgs_threshold and lane.rotation is None:
-                        lane.rotation = lane.rot_candidate
+                        lane.rotation = (pos + 1 - lane.run) % OCTETS_PER_CYCLE
                         self._event(lane.idx, "cgs_achieved",
                                     f"rotation={lane.rotation}")
                 else:
@@ -271,22 +275,15 @@ class RxReceiver:
                     all_clean = False
         achieved = all(l.rotation is not None for l in self.lanes)
         self._stability = self._stability + 1 if (achieved and all_clean) else 0
-        if (achieved and self._stability >= self.cfg.stability_cycles
-                and self.lmfc.locked and boundary):
+        if achieved and self._stability >= self.cfg.stability_cycles and boundary:
             self.sync_request = False
             self.fsm = RxFsm.ILAS
             if self.t_sync_deassert < 0:
                 self.t_sync_deassert = self.cycle
-            for lane in self.lanes:
-                lane.pend.clear()
-                lane.rot_dropped = False
-                lane.mode = _WAIT_R
-                lane.aligned_count = 0
             self._event(None, "sync_deassert", f"cycle={self.cycle}")
 
     def _lanes_cycle(self, words) -> tuple[int | None, str, str] | None:
         """Ingest one word per lane; returns a fault tuple or None."""
-        fk = self.cfg.fk
         for lane, word in zip(self.lanes, words):
             pend = lane.pend
             for pos in range(OCTETS_PER_CYCLE):
@@ -294,8 +291,6 @@ class RxReceiver:
                 if v & _FLAGS:
                     self._count_flags(v)
                 pend.append(v)
-            if lane.rotation is None:
-                return (lane.idx, "no_rotation", "lane lost octet alignment")
             if not lane.rot_dropped:
                 for _ in range(lane.rotation):
                     pend.popleft()
@@ -304,13 +299,12 @@ class RxReceiver:
                 aligned = (pend.popleft(), pend.popleft(),
                            pend.popleft(), pend.popleft())
                 lane.aligned_count += OCTETS_PER_CYCLE
-                fault = self._lane_word(lane, aligned, fk)
+                fault = self._lane_word(lane, aligned)
                 if fault:
                     return fault
         return None
 
-    def _lane_word(self, lane: LaneState, word, fk: int
-                   ) -> tuple[int | None, str, str] | None:
+    def _lane_word(self, lane: LaneState, word) -> tuple[int | None, str, str] | None:
         if lane.mode == _WAIT_R:
             if all(v == _K_CLEAN for v in word):
                 return None
@@ -336,40 +330,24 @@ class RxReceiver:
                             f"shift={shift} rotation={lane.rotation}")
                 return None
             lane.mode = _CAPTURE
-            lane.mf_count = 0
-            lane.mf_pos = 0
-            lane.cfg_octets = []
-            lane.markers_ok = True
             self._event(lane.idx, "ilas_start",
                         f"aligned_octet={lane.aligned_count - 4}")
 
         if lane.mode == _CAPTURE:
-            for pos in range(OCTETS_PER_CYCLE):
-                v = word[pos]
-                p = lane.mf_pos + pos
-                ok = True
-                if p == 0:
-                    ok = v == _R_CLEAN
-                elif p == fk - 1:
-                    ok = v == (K_A | CTRL_FLAG)
-                elif lane.mf_count == 1 and p == 1:
-                    ok = v == (K_Q | CTRL_FLAG)
-                elif lane.mf_count == 1 and 2 <= p < 2 + ILAS_CONFIG_LEN:
+            for i, v in enumerate(word):
+                p = lane.ilas_pos + i
+                if p in self._cfg_span:
                     lane.cfg_octets.append(v & 0xFF)
-                    ok = not (v & (CTRL_FLAG | _FLAGS))
-                else:
-                    ok = not (v & CTRL_FLAG)
-                if not ok:
+                mask, want = self._ilas_rules[p]
+                if v & mask != want:
                     lane.markers_ok = False
                     self.error_counts["marker_mismatch"] += 1
+                    mf, pos = divmod(p, self.cfg.fk)
                     self._event(lane.idx, "marker_mismatch",
-                                f"mf={lane.mf_count} pos={p} got=0x{v & 0xFF:02X}")
-            lane.mf_pos += OCTETS_PER_CYCLE
-            if lane.mf_pos == fk:
-                lane.mf_pos = 0
-                lane.mf_count += 1
-                if lane.mf_count == ILAS_MULTIFRAMES:
-                    return self._finish_ilas(lane)
+                                f"mf={mf} pos={pos} got=0x{v & 0xFF:02X}")
+            lane.ilas_pos += OCTETS_PER_CYCLE
+            if lane.ilas_pos == len(self._ilas_rules):
+                return self._finish_ilas(lane)
             return None
 
         if lane.mode == _DATA:
@@ -386,15 +364,13 @@ class RxReceiver:
             config_ok = config_ok and ic == expected
         else:
             config_ok = config_ok and ic.matches_link(cfg)
-        lane.ilas_ok = lane.markers_ok and config_ok
-        lane.mode = _DATA
-        lane.dsc_state = scrambler.ALL_ONES
         if not config_ok:
             self.error_counts["config_mismatch"] += 1
             self._event(lane.idx, "config_mismatch",
                         f"checksum_ok={checksum_ok}")
-        if not lane.ilas_ok:
+        if not (lane.markers_ok and config_ok):
             return (lane.idx, "ilas_invalid", "alignment sequence rejected")
+        lane.mode = _DATA
         self._event(lane.idx, "ilas_ok", f"lid={ic.lid}")
         return None
 

@@ -48,7 +48,7 @@ from . import codec8b10b as codec
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import (IlasConfig, LinkConfig, ParseError, check_int,
                      validate_config)
-from .rx_core import RxFsm, RxReceiver
+from .rx_core import RxReceiver
 from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
 
 OCTETS_PER_CYCLE = 4
@@ -325,7 +325,7 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
 
     i = fast_cycles = 0
     while i < n:
-        if fast and rx.released and rx.fsm is RxFsm.SYNCED and not must_step[i]:
+        if fast and rx.released and not must_step[i]:
             k = int(np.searchsorted(step_at, i))
             j = int(step_at[k]) if k < step_at.shape[0] else n
             flush()
@@ -339,7 +339,7 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
         was_released = rx.released
         words = [tuple(lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * (i + 1)].tolist())
                  for lane in chars]
-        out = rx.step_packed(words, sysref.pulse(cycle, fk), True)
+        out = rx.step_packed(words, sysref.pulse(cycle, fk))
         if rx.released != was_released:
             flush()
             if rx.released:

@@ -10,9 +10,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jesd204b_sim.codec8b10b import CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, NIT_FLAG
+from jesd204b_sim.codec8b10b import CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R, NIT_FLAG
 from jesd204b_sim.config import POLICY_STRICT, IlasConfig, LinkConfig
-from jesd204b_sim.rx_core import Lmfc, RxFsm, RxReceiver
+from jesd204b_sim.rx_core import _DATA, Lmfc, RxFsm, RxReceiver
 from jesd204b_sim.tx_model import PayloadSpec, TxLink, lane_payload_octets
 
 CFG = LinkConfig(L=2, F=4, K=32, scrambling=1)
@@ -62,7 +62,7 @@ class MiniLink:
                         v = self.corrupt(t, lane, k, v)
                     word.append(v)
                 rx_words.append(tuple(word))
-            out = self.rx.step_packed(rx_words, pulse, True)
+            out = self.rx.step_packed(rx_words, pulse)
             self.fsm_trace.append(self.rx.fsm)
             if out is not None:
                 for lane in range(cfg.L):
@@ -85,17 +85,19 @@ class TestResetAndFsm:
 
     def test_reset_to_wait_one_cycle_later(self):
         rx = RxReceiver(CFG)
-        rx.step_packed([(IDLE,) * 4] * 2, False, True)
+        rx.step_packed([(IDLE,) * 4] * 2, False)
         assert rx.fsm is RxFsm.WAIT_FOR_PHY
 
     def test_phy_gate_needs_four_ready_cycles(self):
+        # The PHY wait is fixed: WAIT_FOR_PHY holds on cycles 1..3 and
+        # enters CGS on cycle 4, whatever the input.
         rx = RxReceiver(CFG)
-        rx.step_packed([(IDLE,) * 4] * 2, False, True)
-        for pattern in (True, True, False, True, True, True):
-            rx.step_packed([(IDLE,) * 4] * 2, False, pattern)
-            assert rx.fsm is RxFsm.WAIT_FOR_PHY
-        rx.step_packed([(IDLE,) * 4] * 2, False, True)
-        assert rx.fsm is RxFsm.CGS
+        for cycle in range(4):
+            rx.step_packed([(K_PACKED,) * 4] * 2, False)
+            assert rx.cycle == cycle and rx.fsm is RxFsm.WAIT_FOR_PHY
+        rx.step_packed([(K_PACKED,) * 4] * 2, False)
+        assert rx.fsm is RxFsm.CGS and rx.t_cgs_enter == 4
+        assert all(l.run == 0 for l in rx.lanes)  # no comma counted yet
 
     def test_transition_order_and_backward_edge(self):
         link = MiniLink(CFG)
@@ -145,29 +147,29 @@ class TestCgsRules:
     def _rx_in_cgs(self):
         rx = RxReceiver(CFG)
         for _ in range(6):
-            rx.step_packed([(IDLE,) * 4] * 2, False, True)
+            rx.step_packed([(IDLE,) * 4] * 2, False)
         assert rx.fsm is RxFsm.CGS
         return rx
 
     def test_four_clean_commas_achieve(self):
         rx = self._rx_in_cgs()
-        rx.step_packed([(K_PACKED,) * 4] * 2, False, True)
+        rx.step_packed([(K_PACKED,) * 4] * 2, False)
         assert all(l.rotation is not None for l in rx.lanes)
 
     def test_interrupted_run_restarts(self):
         rx = self._rx_in_cgs()
         word = (K_PACKED, K_PACKED, IDLE, K_PACKED)  # K,K,D,K
-        rx.step_packed([word] * 2, False, True)
+        rx.step_packed([word] * 2, False)
         assert all(l.rotation is None for l in rx.lanes)
         assert all(l.run == 1 for l in rx.lanes)
         # the run carried from position 3 completes on the next clean word
-        rx.step_packed([(K_PACKED,) * 4] * 2, False, True)
+        rx.step_packed([(K_PACKED,) * 4] * 2, False)
         assert all(l.rotation == 3 for l in rx.lanes)
 
     def test_disparity_error_resets_run(self):
         rx = self._rx_in_cgs()
         bad = K_PACKED | DERR_FLAG
-        rx.step_packed([(K_PACKED, K_PACKED, bad, K_PACKED)] * 2, False, True)
+        rx.step_packed([(K_PACKED, K_PACKED, bad, K_PACKED)] * 2, False)
         assert all(l.run == 1 for l in rx.lanes)
 
     def test_no_sysref_holds_in_cgs(self):
@@ -230,6 +232,52 @@ class TestIlasCapture:
         link = MiniLink(CFG, corrupt=hook)
         rx = link.run(400)
         assert rx.error_counts["marker_mismatch"] >= 1
+
+    @staticmethod
+    def _at_ilas_pos(pos, corrupt, seen):
+        """Hook applying ``corrupt`` to lane 0's octet at alignment-sequence
+        position ``pos``, counted from its first /R/; the result's octet
+        goes to ``seen["got"]``."""
+        def hook(t, ln, k, v):
+            if ln != 0:
+                return v
+            if "p" in seen:
+                seen["p"] += 1
+            elif v == (K_R | CTRL_FLAG):
+                seen["p"] = 0
+            if seen.get("p") == pos:
+                v = corrupt(v)
+                seen["got"] = v & 0xFF
+            return v
+        return hook
+
+    # Positions for fk = 128 and the corruption placed there, one per kind
+    # of check: a control character replaced, a configuration octet after
+    # /Q/ flagged, a filler octet turned into a control character.
+    @pytest.mark.parametrize("pos,corrupt", [
+        (2 * 128, lambda v: v & 0xFF),            # /R/ opening multiframe 2
+        (127, lambda v: K_PACKED),                # /A/ closing multiframe 0
+        (128 + 1, lambda v: v & 0xFF),            # /Q/ in multiframe 1
+        (128 + 2, lambda v: v | CTRL_FLAG),       # first configuration octet
+        (128 + 15, lambda v: v | DERR_FLAG),      # last configuration octet
+        (3 * 128 + 40, lambda v: v | CTRL_FLAG),  # filler
+    ])
+    def test_each_rule_position_reports_where(self, pos, corrupt):
+        seen = {}
+        rx = MiniLink(CFG, corrupt=self._at_ilas_pos(pos, corrupt, seen)).run(400)
+        mismatches = [e for e in rx.events if e[2] == "marker_mismatch"]
+        mf, p = divmod(pos, 128)
+        assert mismatches[0][1:] == (0, "marker_mismatch",
+                                     f"mf={mf} pos={p} got=0x{seen['got']:02X}")
+        assert rx.resync_count == 1 and rx.fsm is RxFsm.SYNCED
+
+    def test_filler_may_carry_an_error_flag(self):
+        # Outside the configuration octets only the control flag is checked.
+        hook = self._at_ilas_pos(3 * 128 + 40, lambda v: v | NIT_FLAG, {})
+        rx = MiniLink(CFG, corrupt=hook).run(400)
+        assert rx.error_counts == {**rx.error_counts, "marker_mismatch": 0,
+                                   "not_in_table": 1}
+        assert rx.resync_count == 0 and rx.fsm is RxFsm.SYNCED
 
     def test_corrupted_checksum_rejected(self):
         # Flip a configuration octet: the checksum no longer matches, so
@@ -371,10 +419,10 @@ class TestFsmSafety:
                         | (NIT_FLAG if rng.random() < 0.05 else 0)
                         for _ in range(4))
                     words.append(word)
-                rx.step_packed(words, t % 32 == 0, True)
+                rx.step_packed(words, t % 32 == 0)
                 if rx.fsm is not prev:
                     assert rx.fsm in legal[prev], (prev, rx.fsm)
                     if rx.fsm is RxFsm.SYNCED:
-                        assert all(l.ilas_ok for l in rx.lanes)
+                        assert all(l.mode == _DATA for l in rx.lanes)
                         assert all(l.rotation is not None for l in rx.lanes)
                     prev = rx.fsm
