@@ -158,10 +158,10 @@ def _encode_raw(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
 _K_SET = frozenset(CONTROL_OCTETS.values())
 
 # Encode tables indexed by packed character: the symbol at each entering
-# disparity (0, never a code, for a control octet outside the K set) and
-# whether the character flips the disparity.
-ENC_SYM = np.zeros((2, 2 * CTRL_FLAG), dtype=np.uint16)
-ENC_FLIP = np.zeros(2 * CTRL_FLAG, dtype=np.uint8)
+# disparity (0, never a code, for a control octet outside the K set or a
+# character with error flags) and whether the character flips the disparity.
+ENC_SYM = np.zeros((2, 2 * DERR_FLAG), dtype=np.uint16)
+ENC_FLIP = np.zeros(2 * DERR_FLAG, dtype=np.uint8)
 
 # Decode table: the packed character each symbol decodes to at each
 # entering disparity, error flags included.
@@ -196,6 +196,15 @@ def _next_rd(sym: int, rd: int) -> int:
     if ones < 5:
         return RD_NEG
     return rd
+
+
+def _check_range(a: np.ndarray, top: int, what: str) -> None:
+    """Raise ValueError unless ``a`` holds integers in 0..top (one max
+    pass; a signed array also takes a min pass)."""
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    if a.max(initial=0) > top or (a.dtype.kind == "i" and a.min(initial=0) < 0):
+        raise ValueError(f"{what} must lie in 0..0x{top:X}")
 
 
 def _invalid(char: int) -> InvalidControlCode:
@@ -253,14 +262,14 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
     """Encode packed characters; returns (symbols, final rd).
 
     A control octet outside the K set, or a character carrying error
-    flags, raises :class:`InvalidControlCode`.
+    flags, raises :class:`InvalidControlCode`; a non-integer array or a
+    value outside 0..0x7FF raises ValueError.
     """
-    chars = np.asarray(chars, dtype=np.uint16)
+    chars = np.asarray(chars)
     n = chars.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.uint16), rd
-    if int(chars.max()) >= 2 * CTRL_FLAG:
-        raise _invalid(int(chars.max()))
+    _check_range(chars, 0x7FF, "characters")
     cum = np.bitwise_xor.accumulate(ENC_FLIP[chars])
     rd_in = np.empty(n, dtype=np.uint8)
     rd_in[0] = rd
@@ -272,11 +281,13 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
 
 
 def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]:
-    """Decode a symbol stream; returns (packed characters, final rd)."""
-    syms = np.asarray(symbols, dtype=np.uint16) & 0x3FF
+    """Decode symbols, integers in 0..0x3FF (else ValueError); returns
+    (packed characters, final rd)."""
+    syms = np.asarray(symbols)
     n = syms.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.uint16), rd
+    _check_range(syms, 0x3FF, "symbols")
     ones = POP10[syms]
     idx = np.maximum.accumulate(np.where(ones != 5, np.arange(n), -1))
     rd_after = np.where(idx >= 0, ones[np.maximum(idx, 0)] > 5, bool(rd))
@@ -316,9 +327,12 @@ def bit_align(words: np.ndarray) -> tuple[int, np.ndarray]:
     ``_COMMA_SEARCH_WORDS`` words and returns ``(offset, symbols)``:
     ``offset`` in 0..9 is its bit position within its word, and the
     symbols start that many bits in (the partial last word is dropped).
-    Raises :class:`NoCommaFound` when the stream has no comma.
+    Raises :class:`NoCommaFound` when the stream has no comma, and
+    ValueError for a non-integer array or a value outside 0..0x3FF.
     """
-    w = np.asarray(words, dtype=np.uint32) & 0x3FF
+    w = np.asarray(words)
+    _check_range(w, 0x3FF, "words")
+    w = w.astype(np.uint32)
     n = w.shape[0]
     size = _COMMA_SEARCH_WORDS
     while not (hits := _comma_starts(w[:size])).any() and size < n:

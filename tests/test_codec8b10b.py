@@ -157,6 +157,33 @@ class TestStreamForms:
         with pytest.raises(InvalidControlCode):
             encode_stream(chars)
 
+    # Out-of-range and non-integer input is rejected with a plain
+    # ValueError, never wrapped or masked into a valid character.
+    @pytest.mark.parametrize("call,values", [
+        (encode_stream, [0x10041, -65536 + 0x41]),   # both wrapped to 0x41
+        (encode_stream, np.array([0x41, 0x800], dtype=np.uint16)),
+        (encode_stream, np.array([0x41, -1], dtype=np.int8)),
+        (encode_stream, [0x41, 1.5]),
+        (decode_stream, [1024, -1]),
+        (decode_stream, [1.5]),
+        (bit_align, "above"),
+        (bit_align, [1.5] * 300),
+    ])
+    def test_stream_rejects_out_of_range_or_non_integer(self, call, values):
+        if isinstance(values, str):  # a comma stream with one word too wide
+            values, _ = encode_stream(np.full(300, K28_5, np.uint16), RD_NEG)
+            values[7] |= 0x400
+        with pytest.raises(ValueError) as info:
+            call(values)
+        assert not isinstance(info.value, (InvalidControlCode, NoCommaFound))
+
+    def test_stream_takes_any_integer_dtype_in_range(self):
+        chars = np.array([0x41, K28_5, 0x7F, 0x00], dtype=np.uint16)
+        syms, rd = encode_stream(chars, RD_NEG)
+        for dtype in (np.int16, np.int64, np.uint32):
+            assert np.array_equal(encode_stream(chars.astype(dtype))[0], syms)
+            assert np.array_equal(decode_stream(syms.astype(dtype))[0], chars)
+
     def test_every_pair_matches_the_scalar_forms(self):
         # Exhaustive: each (rd, character) encodes as encode_char does and
         # each (rd, symbol) decodes as decode_symbol does, flags included,
