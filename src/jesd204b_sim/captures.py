@@ -121,6 +121,8 @@ def read_capture(path: str) -> Capture:
     if fmt not in CAPTURE_FORMATS:
         raise ParseError(f"unknown capture format {fmt!r}")
     cfg = validate_config(LinkConfig.from_dict(cfg_dict))
+    if lanes != cfg.L:
+        raise ParseError(f"capture has {lanes} lanes but its config has L={cfg.L}")
 
     # Splitting at the lane markers takes each section's final newline.
     sections = [section + "\n" for section in body.split(_LANE)] if found else []

@@ -23,7 +23,7 @@ from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
                        Capture, read_capture, sample_rows, write_capture,
                        write_sample_csv)
 from .config import (ILAS_FIELD_LAYOUT, ConfigError, IlasConfig, LinkConfig,
-                     ParseError, check_int, validate_config)
+                     ParseError, check_int, check_keys, validate_config)
 from .rx_core import RxReceiver
 from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, _SegmentCheck,
                           drive_receiver, measure_latency_determinism)
@@ -74,10 +74,7 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
 
     out: dict = {"sim": {}}
     if "ilas" in sections:
-        known = {f.name for f in dataclasses.fields(IlasConfig)}
-        unknown = sorted(set(sections["ilas"]) - known)
-        if unknown:
-            raise ParseError(f"unknown ilas key(s): {', '.join(unknown)}")
+        check_keys("ilas", sections["ilas"], ILAS_FIELD_LAYOUT)
         for name, value in sections["ilas"].items():
             check_int(f"ilas.{name}", value, 0, (1 << ILAS_FIELD_LAYOUT[name][2]) - 1)
         base = IlasConfig.from_link_config(cfg)
@@ -89,9 +86,7 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
     if "sysref" in sections:
         out["sysref"] = SysrefSpec.from_dict(sections["sysref"])
     if "sim" in sections:
-        unknown = sorted(set(sections["sim"]) - set(_SIM_KEYS))
-        if unknown:
-            raise ParseError(f"unknown sim key(s): {', '.join(unknown)}")
+        check_keys("sim", sections["sim"], _SIM_KEYS)
         if "duration_cycles" in sections["sim"]:
             check_int("sim.duration_cycles", sections["sim"]["duration_cycles"], 1)
         out["sim"] = sections["sim"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 OCTETS_PER_CYCLE = 4  # fixed 32-bit datapath: one frame-fraction of 4 octets per cycle
 
@@ -76,6 +76,13 @@ class ParseError(ValueError):
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_keys(section: str, data: dict[str, Any], allowed: Collection[str]) -> None:
+    """Raise :class:`ParseError` naming every key of ``data`` not in ``allowed``."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ParseError(f"unknown {section} key(s): {', '.join(unknown)}")
 
 
 def check_int(name: str, value: Any, lo: int | None = None,
@@ -143,10 +150,7 @@ class LinkConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "LinkConfig":
         """Build from a JSON-style dict.  Unknown keys are rejected."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ParseError(f"unknown config key(s): {', '.join(unknown)}")
+        check_keys("config", data, [f.name for f in dataclasses.fields(cls)])
         missing = [k for k in ("L", "F", "K") if k not in data]
         if missing:
             raise ParseError(f"missing required config key(s): {', '.join(missing)}")

@@ -69,7 +69,7 @@ class Lmfc:
         self.fk = fk
         self.phase = 0
         self.locked = False
-        self.misaligned = False
+        self.misaligned = 0  # arrival phase of an off-grid edge, 0 for none
         self._prev = False
 
     def step(self, sysref: bool) -> bool:
@@ -77,8 +77,9 @@ class Lmfc:
         edge = sysref and not self._prev
         self._prev = sysref
         if edge:
-            if self.locked and (self.phase + OCTETS_PER_CYCLE) % self.fk != 0:
-                self.misaligned = True
+            arrival = (self.phase + OCTETS_PER_CYCLE) % self.fk
+            if self.locked and arrival:
+                self.misaligned = arrival
             self.phase = 0
             self.locked = True
             return True
@@ -181,8 +182,8 @@ class RxReceiver:
         boundary = self.lmfc.step(sysref)
         if self.lmfc.misaligned:
             self.error_counts["sysref_misaligned"] += 1
-            self.lmfc.misaligned = False
-            self._event(None, "sysref_misaligned", f"phase={self.lmfc.phase}")
+            self._event(None, "sysref_misaligned", f"phase={self.lmfc.misaligned}")
+            self.lmfc.misaligned = 0
 
         fsm = self.fsm
         if fsm is RxFsm.RESET:

@@ -47,7 +47,7 @@ from . import codec8b10b as codec
 # this module, so they stay importable from it.
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import (IlasConfig, LinkConfig, ParseError, check_int,
-                     validate_config)
+                     check_keys, validate_config)
 from .rx_core import RxReceiver
 from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
 
@@ -98,8 +98,8 @@ class ChannelSpec:
             raise ParseError(f"channel.bit_error_rate: got {rate!r}, "
                              "allowed a number in [0, 1]")
         check_int("channel.rng_seed", self.rng_seed, 0)
-        # The idle prefix must outlast receiver startup (reset plus the
-        # PHY-ready gate, 6 cycles) or the lane cannot observe the
+        # The idle prefix must cover receiver startup (reset, the fixed PHY
+        # wait and the first CGS cycle: 6 cycles) so the lane sees the
         # idle-to-comma transition its octet rotation anchors on.
         check_int("channel.base_idle_octets", self.base_idle_octets, 24)
         check_int("channel.idle_octet", self.idle_octet, 0, 0xFF)
@@ -138,10 +138,7 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ParseError(f"unknown channel key(s): {', '.join(unknown)}")
+        check_keys("channel", data, [f.name for f in dataclasses.fields(cls)])
         return cls(**data)
 
 
@@ -175,10 +172,7 @@ class SysrefSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SysrefSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ParseError(f"unknown sysref key(s): {', '.join(unknown)}")
+        check_keys("sysref", data, [f.name for f in dataclasses.fields(cls)])
         return cls(**data)
 
     def pulse(self, cycle: int, fk: int) -> bool:

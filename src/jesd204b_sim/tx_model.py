@@ -29,7 +29,7 @@ import numpy as np
 from . import scrambler
 from .codec8b10b import CTRL_FLAG, K_A, K_K, K_Q, K_R
 from .config import (ILAS_MULTIFRAMES, OCTETS_PER_CYCLE, IlasConfig,
-                     LinkConfig, ParseError, check_int, validate_config)
+                     LinkConfig, check_int, check_keys, validate_config)
 
 PHASE_CGS = "CGS"
 PHASE_ILAS = "ILAS"
@@ -71,10 +71,7 @@ class PayloadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PayloadSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ParseError(f"unknown payload key(s): {', '.join(unknown)}")
+        check_keys("payload", data, [f.name for f in dataclasses.fields(cls)])
         return cls(**data)
 
 

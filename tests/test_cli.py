@@ -40,6 +40,16 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="burst"):
             parse_config(config_path(channel={"skew": [0, 0], "burst": 1}))
 
+    @pytest.mark.parametrize("section,name", [
+        (None, "config"), ("ilas", "ilas"), ("channel", "channel"),
+        ("payload", "payload"), ("sysref", "sysref"), ("sim", "sim")])
+    def test_unknown_keys_listed_sorted(self, config_path, section, name):
+        bad = {"zeta": 1, "alpha": 2}
+        path = config_path(bad) if section is None else config_path(**{section: bad})
+        with pytest.raises(ParseError) as info:
+            parse_config(path)
+        assert str(info.value) == f"unknown {name} key(s): alpha, zeta"
+
     def test_constraint_violation_passthrough(self, config_path):
         from jesd204b_sim.config import ConfigError
         with pytest.raises(ConfigError, match="F-multiple-of-4"):
@@ -270,6 +280,18 @@ class TestGenDecodeRoundTrip:
         capsys.readouterr()
         assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
         assert "lane 1 row 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sections", [3, 1, 0])
+    def test_lane_count_must_match_config(self, config_path, tmp_path, capsys,
+                                          sections):
+        cap = tmp_path / "cap.txt"
+        main(["gen", "--config", config_path(), "--out", str(cap), "--cycles", "400"])
+        got = read_capture(str(cap))
+        lanes = (got.symbols * 2)[:sections]
+        write_capture(str(cap), Capture("symbol10", got.config, got.seed, symbols=lanes))
+        capsys.readouterr()
+        assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
+        assert f"capture has {sections} lanes but its config has L=2" in capsys.readouterr().err
 
     def test_mislabelled_lane_section_rejected(self, config_path, tmp_path, capsys):
         cap = tmp_path / "cap.txt"

@@ -1,13 +1,20 @@
-"""Unused-import check for the package, standing in for a linter.
+"""Unused-import and write-only-state checks for the package, standing in
+for a linter.
 
 A module-level import in ``src/jesd204b_sim/`` must bind a name that the
 module reads somewhere (a ``Name`` load, which includes the base of an
 attribute access and annotations) or that its ``__all__`` exports.  An
 import whose statement carries ``# noqa`` is exempt, and ``__future__``
 imports are skipped.
+
+Every attribute the package stores (``obj.name = ...``, augmented
+assignments included) must be loaded somewhere in the package, so state
+that is written but never read does not linger.  Attributes stored inside
+exception classes are exempt: they are a payload for the handler.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -40,6 +47,62 @@ def unused_imports(source: str) -> list[str]:
             if name not in read and name not in exported:
                 unused.append(f"line {node.lineno}: {name}")
     return unused
+
+
+def write_only_attributes(sources: dict[str, str]) -> list[str]:
+    """Attributes stored in ``sources`` (module name -> text) and loaded in
+    none of them, outside exception classes, as ``module line n: name``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+    while True:  # subclasses of exception classes, to a fixed point
+        found = {c.name for c in classes
+                 if any(isinstance(b, ast.Name) and b.id in exceptions for b in c.bases)}
+        if found <= exceptions:
+            break
+        exceptions |= found
+    exempt = {id(node) for c in classes if c.name in exceptions for node in ast.walk(c)}
+    attributes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    loaded = {node.attr for _, node in attributes if isinstance(node.ctx, ast.Load)}
+    return [f"{name} line {node.lineno}: {node.attr}"
+            for name, node in sorted(attributes, key=lambda a: (a[0], a[1].lineno))
+            if isinstance(node.ctx, ast.Store) and node.attr not in loaded
+            and id(node) not in exempt]
+
+
+def test_no_write_only_attributes():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert write_only_attributes(sources) == []
+
+
+def test_write_only_check_flags_what_it_should():
+    lane = "\n".join([
+        "class Lane:",
+        "    def __init__(self):",
+        "        self.read = 0",
+        "        self.written = 0",
+        "        self.counted = 0",
+        "    def step(self, other):",
+        "        self.counted += 1",
+        "        other.shared, self.written = self.read, 1",
+        "        return self.read",
+    ])
+    faults = "\n".join([
+        "class Fault(ValueError):",
+        "    def __init__(self, where):",
+        "        self.where = where",
+        "class LaneFault(Fault):",
+        "    def __init__(self, lane):",
+        "        self.lane = lane",
+        "def report(lane):",
+        "    return lane.shared",
+    ])
+    assert write_only_attributes({"lane.py": lane, "faults.py": faults}) == [
+        "lane.py line 4: written", "lane.py line 5: counted",
+        "lane.py line 7: counted", "lane.py line 8: written"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -199,8 +199,18 @@ class TestLmfc:
         for _ in range(10):
             lm.step(False)
         lm.step(True)  # arrives at phase 44, not a boundary
-        assert lm.misaligned
+        assert lm.misaligned == 44
         assert lm.phase == 0  # still realigns
+
+    def test_receiver_reports_the_arrival_phase(self):
+        # Locked at cycle 8, an edge at cycle 45 arrives 37 cycles of 4
+        # octets later: phase 148 mod 128 = 20.
+        rx = RxReceiver(CFG)
+        for t in range(50):
+            rx.step_packed([(IDLE,) * 4] * 2, t in (8, 45))
+        assert [e for e in rx.events if e[2] == "sysref_misaligned"] == [
+            (45, None, "sysref_misaligned", "phase=20")]
+        assert rx.error_counts["sysref_misaligned"] == 1
 
     def test_free_runs_unlocked_without_edge(self):
         lm = Lmfc(128)

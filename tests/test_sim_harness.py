@@ -343,7 +343,8 @@ class TestReportSurface:
         assert rep.t_release == -1 and rep.total_latency_octets == -1
 
     def test_misaligned_sysref_flagged_not_fatal(self):
-        # Period of 1.5 multiframes cannot land on boundaries every time.
+        # A one-shot SYSREF locks the LMFC once, which is enough to sync;
+        # a period of one multiframe puts every edge on a boundary.
         rep = run_simulation(
             CFG, payload=PAY,
             sysref=SysrefSpec(first_cycle=8, period_multiframes=None),
