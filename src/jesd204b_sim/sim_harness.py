@@ -46,12 +46,11 @@ from . import codec8b10b as codec
 # Unused here; the benchmark's tracer looks the scalar codec forms up in
 # this module, so they stay importable from it.
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
-from .config import (IlasConfig, LinkConfig, ParseError, check_int,
-                     check_keys, validate_config)
+from .config import (OCTETS_PER_CYCLE, IlasConfig, LinkConfig, ParseError,
+                     check_int, check_keys, validate_config)
 from .rx_core import RxReceiver
 from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
 
-OCTETS_PER_CYCLE = 4
 BITS_PER_CYCLE = 40
 
 _TAIL_CHUNK_CYCLES = 1 << 18   # largest chunk; bounds peak memory
@@ -128,14 +127,6 @@ class ChannelSpec:
                 f"need {lanes} skew entries, got {len(self.skew)}")
         return [int(s) for s in self.skew]
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if d["skew"] is not None:
-            d["skew"] = list(d["skew"])
-        if d["error_positions"] is not None:
-            d["error_positions"] = [list(p) for p in d["error_positions"]]
-        return d
-
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelSpec":
         check_keys("channel", data, [f.name for f in dataclasses.fields(cls)])
@@ -166,9 +157,6 @@ class SysrefSpec:
         check_int("sysref.tx_phase_offset_octets", self.tx_phase_offset_octets)
         if self.tx_phase_offset_octets % OCTETS_PER_CYCLE:
             raise ValueError("tx_phase_offset_octets must be a multiple of 4")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SysrefSpec":
@@ -294,7 +282,7 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
 
     Released output is reported in order: ``on_release(cycle)`` opens an
     output segment, ``on_output(per-lane octets)`` appends to the open
-    one.  With ``stop_on_sync_change`` the call returns right after the
+    one; every lane's array has the same, nonzero length.  With ``stop_on_sync_change`` the call returns right after the
     cycle on which the receiver's sync request changes.  Returns
     ``(cycles consumed, cycles fast-forwarded)``.
     """
@@ -350,29 +338,31 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
 
 class _SegmentCheck:
     """One output segment, compared as it arrives against the generator
-    from lane octet ``m0`` (unless ``payload`` is None), kept if ``store``."""
+    from lane octet ``m0`` (unless ``payload`` is None), kept if ``store``.
+    Every lane releases in lockstep, so ``off`` octets have arrived per lane."""
 
     def __init__(self, payload: PayloadSpec | None, lanes: int, m0: int, store: bool):
         self.payload = payload
         self.lanes = lanes
         self.m0 = m0
-        self.off = [0] * lanes
+        self.off = 0
         self.compared = 0
         self.mismatched = 0
         self.store = store
         self.stored: list[list[np.ndarray]] = [[] for _ in range(lanes)]
 
-    def absorb(self, lane: int, got: np.ndarray) -> None:
-        if got.shape[0] == 0:
-            return
-        if self.payload is not None:
-            exp = lane_payload_octets(self.payload, self.lanes, lane,
-                                      self.m0 + self.off[lane], got.shape[0])
-            self.compared += got.shape[0]
-            self.mismatched += int(np.count_nonzero(got != exp))
-        self.off[lane] += got.shape[0]
-        if self.store:
-            self.stored[lane].append(got)
+    def absorb(self, outs: list[np.ndarray]) -> None:
+        """Append one equal-length array of octets per lane."""
+        count = outs[0].shape[0]
+        for lane, (got, kept) in enumerate(zip(outs, self.stored)):
+            if self.payload is not None:
+                exp = lane_payload_octets(self.payload, self.lanes, lane,
+                                          self.m0 + self.off, count)
+                self.compared += count
+                self.mismatched += int(np.count_nonzero(got != exp))
+            if self.store:
+                kept.append(got)
+        self.off += count
 
     def arrays(self) -> list[np.ndarray]:
         return [np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)
@@ -427,23 +417,21 @@ class Simulation:
         self._line = [np.full(fill, self.channel.idle_octet, np.uint16)
                       for fill in self.fills]
         self._line_base = 0
-        self._tx_data_cycle = -1
+        self._rd = [(codec.RD_NEG, codec.RD_NEG)] * lanes   # (encoder, decoder)
         flips = _BitErrors(self.channel, lanes)
-        enc_rd = [codec.RD_NEG] * lanes
-        dec_rd = [codec.RD_NEG] * lanes
         segments: list[_SegmentCheck] = []
-        seg_data_cycle: list[int] = []
         received: list[list[np.ndarray]] = [[] for _ in range(lanes)]
         flips_injected = flips_pre_release = 0
         fast_used = False
-        release_cycle = -1
+        release_cycle = t_data = -1
 
         def on_release(cycle: int) -> None:
-            nonlocal release_cycle
+            nonlocal release_cycle, t_data
             release_cycle = cycle
-            segments.append(_SegmentCheck(self.payload, lanes, tx.data_segments[-1],
-                                          self.collect_output))
-            seg_data_cycle.append(self._tx_data_cycle)
+            m0, data_cycle = tx.data_segments[-1]
+            if not segments:
+                t_data = data_cycle
+            segments.append(_SegmentCheck(self.payload, lanes, m0, self.collect_output))
 
         # A segment closes only on a fault, which ends the chunk, so all of
         # a chunk's output belongs to the segment open at its end; it is
@@ -456,33 +444,26 @@ class Simulation:
             sync = rx.sync_request
             released = rx.released
             release_cycle = -1
-            tx_state = (tx.snapshot(), self._tx_data_cycle,
-                        [a.shape[0] for a in self._line])
-            self._tx_chunk(t, n, sync)
-            chars, line, lane_flips, rd_end = self._receive(t, n, enc_rd, dec_rd, flips)
+            state = (tx.snapshot(), [a.shape[0] for a in self._line], self._rd)
+            chars, line, lane_flips = self._advance(t, n, sync, flips)
             done, fast_cycles = drive_receiver(rx, chars, self.sysref, on_release,
                                                outputs.append, fast,
                                                stop_on_sync_change=True)
             del chars
             for outs in outputs:
-                for lane, got in enumerate(outs):
-                    segments[-1].absorb(lane, got)
+                segments[-1].absorb(outs)
             outputs.clear()
             fast_used = fast_used or fast_cycles > 0
             if done < n:
                 # The sync request changed: the cycles after the change were
                 # built on the old request, so rewind to the change.
-                _, line, lane_flips, rd_end = self._receive(t, done, enc_rd, dec_rd,
-                                                            flips)
-                snap, self._tx_data_cycle, line_len = tx_state
+                snap, line_len, self._rd = state
                 tx.restore(snap)
                 self._line = [a[:k] for a, k in zip(self._line, line_len)]
-                self._tx_chunk(t, done, sync)
+                line, lane_flips = self._advance(t, done, sync, flips)[1:]
                 chunk = _FIRST_CHUNK_CYCLES
             else:
                 chunk = min(2 * chunk, _TAIL_CHUNK_CYCLES)
-            enc_rd = [e for e, _ in rd_end]
-            dec_rd = [d for _, d in rd_end]
 
             # A flip is pre-release when the link was not released entering
             # its cycle; unrelease always changes the sync request, so it
@@ -502,60 +483,50 @@ class Simulation:
             self._line = [a[drop:] for a in self._line]
             self._line_base += drop
 
-        return self._build_report(duration, fast_used, segments, seg_data_cycle,
+        return self._build_report(duration, fast_used, segments, t_data,
                                   flips_injected, flips_pre_release, received)
 
-    def _receive(self, t0: int, n_cycles: int, enc_rd: list[int], dec_rd: list[int],
-                 flips: _BitErrors) -> tuple[list[np.ndarray], list[np.ndarray],
-                                             list[np.ndarray], list[tuple[int, int]]]:
-        """The channel and codec for cycles [t0, t0 + n_cycles).
+    def _advance(self, t0: int, n_cycles: int, sync: bool, flips: _BitErrors
+                 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+        """Transmitter, line and codec for cycles [t0, t0 + n_cycles), with
+        the receiver's sync request held at ``sync``.
 
-        Returns per lane the packed decoded characters, the line symbols
-        (only when collected), the flip positions relative to the chunk,
-        and the (encoder, decoder) running disparities after the chunk.
+        Appends the transmitter's output to the line and moves ``_rd`` to
+        the end of the span.  Returns per lane the packed decoded
+        characters, the line symbols (only when collected) and the flip
+        positions relative to the span.
         """
-        chars, line, lane_flips, rd_end = [], [], [], []
-        lo = OCTETS_PER_CYCLE * t0 - self._line_base
-        hi = lo + OCTETS_PER_CYCLE * n_cycles
-        for lane in range(self.cfg.L):
-            syms, enc_end = codec.encode_stream(self._line[lane][lo:hi], enc_rd[lane])
-            pos = flips.take(lane, BITS_PER_CYCLE * t0,
-                             BITS_PER_CYCLE * (t0 + n_cycles)) - BITS_PER_CYCLE * t0
-            if pos.shape[0]:
-                np.bitwise_xor.at(syms, pos // 10,
-                                  (1 << (9 - pos % 10)).astype(np.uint16))
-            lane_chars, dec_end = codec.decode_stream(syms, dec_rd[lane])
-            chars.append(lane_chars)
-            if self.collect_received:
-                line.append(syms)
-            lane_flips.append(pos)
-            rd_end.append((enc_end, dec_end))
-        return chars, line, lane_flips, rd_end
-
-    # -- transmitter and line --------------------------------------------------
-
-    def _tx_chunk(self, t0: int, n_cycles: int, sync: bool) -> None:
-        """Append the transmitter's output for cycles [t0, t0 + n_cycles)
-        to the line, with the receiver's sync request held at ``sync``."""
         tx, fk = self.tx, self.cfg.fk
         boundary = None
         if tx.phase == PHASE_CGS and not sync:
             # The grid repeats every multiframe, so one multiframe is enough.
             boundary = next((i for i in range(min(n_cycles, fk // OCTETS_PER_CYCLE))
                              if self.sysref.tx_boundary(t0 + i, fk)), None)
-        sent = tx.lane_octets_sent
-        lanes = tx.emit(n_cycles, sync, boundary)
-        data_cycles = (tx.lane_octets_sent - sent) // OCTETS_PER_CYCLE
-        if sync:
-            self._tx_data_cycle = -1
-        elif data_cycles and self._tx_data_cycle < 0:
-            self._tx_data_cycle = t0 + n_cycles - data_cycles
-        self._line = [np.concatenate([line, sent]) for line, sent in zip(self._line, lanes)]
+        self._line = [np.concatenate([line, sent]) for line, sent
+                      in zip(self._line, tx.emit(n_cycles, sync, boundary))]
+        chars, line, lane_flips, rd = [], [], [], []
+        lo = OCTETS_PER_CYCLE * t0 - self._line_base
+        hi = lo + OCTETS_PER_CYCLE * n_cycles
+        for lane, (enc_rd, dec_rd) in enumerate(self._rd):
+            syms, enc_rd = codec.encode_stream(self._line[lane][lo:hi], enc_rd)
+            pos = flips.take(lane, BITS_PER_CYCLE * t0,
+                             BITS_PER_CYCLE * (t0 + n_cycles)) - BITS_PER_CYCLE * t0
+            if pos.shape[0]:
+                np.bitwise_xor.at(syms, pos // 10,
+                                  (1 << (9 - pos % 10)).astype(np.uint16))
+            lane_chars, dec_rd = codec.decode_stream(syms, dec_rd)
+            chars.append(lane_chars)
+            if self.collect_received:
+                line.append(syms)
+            lane_flips.append(pos)
+            rd.append((enc_rd, dec_rd))
+        self._rd = rd
+        return chars, line, lane_flips
 
     # -- reporting -------------------------------------------------------------
 
     def _build_report(self, duration: int, fast_used: bool,
-                      segments: list[_SegmentCheck], seg_data_cycle: list[int],
+                      segments: list[_SegmentCheck], t_data: int,
                       flips_injected: int, flips_pre_release: int,
                       received: list[list[np.ndarray]]) -> SimReport:
         cfg = self.cfg
@@ -579,7 +550,6 @@ class Simulation:
                 return -1.0
             return round((a - b) * frames_per_cycle, 3)
 
-        t_data = seg_data_cycle[0] if seg_data_cycle else -1
         latency_oct = (OCTETS_PER_CYCLE * (rx.t_release - t_data)
                        if rx.t_release >= 0 and t_data >= 0 else -1)
 
@@ -588,9 +558,9 @@ class Simulation:
 
         return SimReport(
             config=cfg.to_dict(),
-            payload=self.payload.to_dict(),
-            channel=self.channel.to_dict(),
-            sysref=self.sysref.to_dict(),
+            payload=dataclasses.asdict(self.payload),
+            channel=dataclasses.asdict(self.channel),
+            sysref=dataclasses.asdict(self.sysref),
             duration_cycles=duration,
             fast_path_used=fast_used,
             sync_achieved=sync_achieved,

@@ -66,9 +66,6 @@ class PayloadSpec:
         if self.kind == "sine" and self.period < 2:
             raise ValueError("sine period must be >= 2 samples")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "PayloadSpec":
         check_keys("payload", data, [f.name for f in dataclasses.fields(cls)])
@@ -163,26 +160,23 @@ class TxLink:
 
     def reset(self) -> None:
         self.phase = PHASE_CGS
+        self.cycle = 0                     # cycles emitted since reset
         self.ilas_pos = 0
         self.lane_octets_sent = 0          # payload octets emitted per lane
         self.scr_states = [scrambler.ALL_ONES] * self.cfg.L
-        self.data_segments: list[int] = []  # lane octet index at each DATA entry
+        # (lane octet index, cycle) of the first payload octet of each DATA entry
+        self.data_segments: list[tuple[int, int]] = []
 
     def snapshot(self) -> tuple:
         """The emission state, to hand back to :meth:`restore`."""
-        return (self.phase, self.ilas_pos, self.lane_octets_sent,
+        return (self.phase, self.cycle, self.ilas_pos, self.lane_octets_sent,
                 list(self.scr_states), len(self.data_segments))
 
     def restore(self, state: tuple) -> None:
         """Rewind to a :meth:`snapshot` taken earlier in the same run."""
-        self.phase, self.ilas_pos, self.lane_octets_sent, scr, segments = state
+        self.phase, self.cycle, self.ilas_pos, self.lane_octets_sent, scr, segments = state
         self.scr_states = list(scr)
         del self.data_segments[segments:]
-
-    def _enter_data(self) -> None:
-        self.phase = PHASE_DATA
-        self.scr_states = [scrambler.ALL_ONES] * self.cfg.L
-        self.data_segments.append(self.lane_octets_sent)
 
     def emit(self, n_cycles: int, sync_request: bool, boundary: int | None
              ) -> list[np.ndarray]:
@@ -208,8 +202,11 @@ class TxLink:
             for parts, ilas in zip(lanes, self._ilas):
                 parts.append(ilas[pos: self.ilas_pos])
             left -= self.ilas_pos - pos
-            if self.ilas_pos == self._ilas_len:
-                self._enter_data()
+        self.cycle += n_cycles - left // OCTETS_PER_CYCLE
+        if self.phase == PHASE_ILAS and self.ilas_pos == self._ilas_len:
+            self.phase = PHASE_DATA
+            self.scr_states = [scrambler.ALL_ONES] * self.cfg.L
+            self.data_segments.append((self.lane_octets_sent, self.cycle))
         if left:
             for parts, data in zip(lanes, self.bulk_data(left // OCTETS_PER_CYCLE)):
                 parts.append(data)
@@ -246,5 +243,6 @@ class TxLink:
                     self.scr_states[lane], raw)
             out.append(raw)
         self.lane_octets_sent = start + count
+        self.cycle += n_cycles
         return out
 
