@@ -73,16 +73,18 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
                          "run_multi_link runs several")
 
     out: dict = {"sim": {}}
+    if "payload" in sections:
+        out["payload"] = PayloadSpec.from_dict(sections["payload"])
     if "ilas" in sections:
+        # The section overrides fields of the image the transmitter derives.
         check_keys("ilas", sections["ilas"], ILAS_FIELD_LAYOUT)
         for name, value in sections["ilas"].items():
             check_int(f"ilas.{name}", value, 0, (1 << ILAS_FIELD_LAYOUT[name][2]) - 1)
-        base = IlasConfig.from_link_config(cfg)
+        channels = out.get("payload", PayloadSpec()).channels
+        base = IlasConfig.from_link_config(cfg, channels=channels)
         out["ilas"] = dataclasses.replace(base, **sections["ilas"])
     if "channel" in sections:
         out["channel"] = ChannelSpec.from_dict(sections["channel"])
-    if "payload" in sections:
-        out["payload"] = PayloadSpec.from_dict(sections["payload"])
     if "sysref" in sections:
         out["sysref"] = SysrefSpec.from_dict(sections["sysref"])
     if "sim" in sections:

@@ -291,17 +291,12 @@ class IlasConfig:
     res2: int = 0
 
     @classmethod
-    def from_link_config(cls, cfg: LinkConfig, channels: int = 1,
-                         sample_bits: int = 16, lid: int = 0,
-                         did: int = 0, bid: int = 0) -> "IlasConfig":
-        """Derive an image from link parameters (minus-one encoding applied)."""
-        return cls(
-            did=did, bid=bid, lid=lid,
-            scr=int(cfg.scrambling),
-            l=cfg.L - 1, f=cfg.F - 1, k=cfg.K - 1,
-            m=channels - 1, n=sample_bits - 1, nprime=sample_bits - 1,
-            s=0, cs=0, cf=0, hd=0, subclassv=1, jesdv=1,
-        )
+    def from_link_config(cls, cfg: LinkConfig, channels: int = 1) -> "IlasConfig":
+        """Derive an image from link parameters and the converter count
+        (minus-one encoding applied); other fields keep their defaults,
+        which describe 16-bit samples."""
+        return cls(scr=int(cfg.scrambling), l=cfg.L - 1, f=cfg.F - 1,
+                   k=cfg.K - 1, m=channels - 1)
 
     def field_checksum(self) -> int:
         """Checksum under the field-sum rule: sum of field values mod 256."""

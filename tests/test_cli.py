@@ -9,7 +9,8 @@ import pytest
 from jesd204b_sim.captures import (SAMPLE_CSV_HEADER, read_capture,
                                    write_capture, Capture)
 from jesd204b_sim.cli import EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, parse_config
-from jesd204b_sim.config import LinkConfig, ParseError
+from jesd204b_sim.codec8b10b import CTRL_FLAG, K_Q, bit_align, decode_stream
+from jesd204b_sim.config import IlasConfig, LinkConfig, ParseError
 from jesd204b_sim.tx_model import PayloadSpec, payload_samples
 
 
@@ -60,6 +61,24 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="at most 4"):
             parse_config(config_path({"L": 8}))
         assert LinkConfig(L=8, F=4, K=32).L == 8
+
+    def test_ilas_section_overrides_the_derived_image(self, config_path, tmp_path):
+        # The image is derived from the link and payload.channels whether
+        # or not an ilas section overrides some of its fields.
+        payload = {"kind": "random", "seed": 2, "channels": 4}
+        files = {}
+        for name, ilas in [("none", None), ("empty", {}), ("did", {"did": 3})]:
+            sections = {"payload": payload} if ilas is None else {"payload": payload,
+                                                                  "ilas": ilas}
+            files[name] = tmp_path / f"{name}.cap"
+            assert main(["gen", "--config", config_path(**sections),
+                         "--out", str(files[name]), "--cycles", "400"]) == EXIT_OK
+        assert files["empty"].read_bytes() == files["none"].read_bytes()
+        symbols = read_capture(str(files["did"])).symbols[0]
+        chars = decode_stream(bit_align(symbols)[1])[0]
+        q = int(np.flatnonzero(chars == CTRL_FLAG | K_Q)[0])   # /Q/ precedes the image
+        image, ok = IlasConfig.unpack(chars[q + 1: q + 15].tolist())
+        assert ok and (image.m, image.did) == (3, 3)
 
     def test_cli_runs_one_link(self, config_path, capsys):
         # run_multi_link is the library's entry point for several links
@@ -284,11 +303,14 @@ class TestGenDecodeRoundTrip:
     @pytest.mark.parametrize("sections", [3, 1, 0])
     def test_lane_count_must_match_config(self, config_path, tmp_path, capsys,
                                           sections):
+        # write_capture refuses such a file, so it is edited as text.
         cap = tmp_path / "cap.txt"
         main(["gen", "--config", config_path(), "--out", str(cap), "--cycles", "400"])
-        got = read_capture(str(cap))
-        lanes = (got.symbols * 2)[:sections]
-        write_capture(str(cap), Capture("symbol10", got.config, got.seed, symbols=lanes))
+        head, _, body = cap.read_text().partition("# lane 0\n")
+        lane0, _, lane1 = body.partition("# lane 1\n")
+        rows = [lane0, lane1, lane0][:sections]
+        cap.write_text(head.replace("# lanes: 2\n", f"# lanes: {sections}\n")
+                       + "".join(f"# lane {i}\n{r}" for i, r in enumerate(rows)))
         capsys.readouterr()
         assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
         assert f"capture has {sections} lanes but its config has L=2" in capsys.readouterr().err

@@ -127,7 +127,7 @@ class TestIlasConfig:
 
     def test_hardware_image_matches_hand_packing(self):
         cfg = LinkConfig(L=2, F=4, K=32, scrambling=1)
-        ic = IlasConfig.from_link_config(cfg, channels=16, sample_bits=16)
+        ic = IlasConfig.from_link_config(cfg, channels=16)
         expected = _pack_by_hand(scr=1, l=1, f=3, k=31, m=15, n=15,
                                  nprime=15, subclassv=1, jesdv=1, s=0)
         assert ic.pack() == expected
