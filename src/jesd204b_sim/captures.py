@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec8b10b import check_range
 from .config import LinkConfig, ParseError, validate_config
 
 FORMAT_SYMBOL10 = "symbol10"
@@ -84,11 +85,18 @@ _FIELD = {FORMAT_SYMBOL10: "symbols", FORMAT_OCTET_FLAG: "chars"}   # each forma
 
 
 def write_capture(path: str, cap: Capture) -> None:
+    """Write ``cap``: one lane per link lane, each holding symbols in
+    0..0x3FF or packed characters in 0..0x7FF (else ValueError)."""
     if cap.fmt not in CAPTURE_FORMATS:
         raise ValueError(f"unknown capture format {cap.fmt!r}")
+    values = [np.asarray(v) for v in getattr(cap, _FIELD[cap.fmt])]
+    if len(values) != cap.config.L:
+        raise ValueError(f"capture has {len(values)} lanes but its config has L={cap.config.L}")
+    for v in values:
+        check_range(v, 0x3FF if cap.fmt == FORMAT_SYMBOL10 else 0x7FF, _FIELD[cap.fmt])
     rows, _ = _TABLES[cap.fmt]
     # Masking to the table drops an octet_flag character's error flags.
-    lanes = [rows[np.asarray(v) & (rows.shape[0] - 1)] for v in getattr(cap, _FIELD[cap.fmt])]
+    lanes = [rows[v & (rows.shape[0] - 1)] for v in values]
     with open(path, "wb") as fh:
         fh.write(f"{_MAGIC}\n# format: {cap.fmt}\n"
                  f"# config: {json.dumps(cap.config.to_dict(), sort_keys=True)}\n"

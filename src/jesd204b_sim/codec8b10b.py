@@ -198,7 +198,7 @@ def _next_rd(sym: int, rd: int) -> int:
     return rd
 
 
-def _check_range(a: np.ndarray, top: int, what: str) -> None:
+def check_range(a: np.ndarray, top: int, what: str) -> None:
     """Raise ValueError unless ``a`` holds integers in 0..top (one max
     pass; a signed array also takes a min pass)."""
     if a.dtype.kind not in "iu":
@@ -214,8 +214,10 @@ def _invalid(char: int) -> InvalidControlCode:
 
 
 def encode_octet(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
-    """Scalar encode without the :class:`Char` wrapper; returns (symbol, rd)."""
-    char = (octet & 0xFF) | (CTRL_FLAG if is_control else 0)
+    """Scalar encode without the :class:`Char` wrapper; returns (symbol, rd).
+    An octet outside 0..0xFF raises ValueError."""
+    check_range(np.asarray(octet), 0xFF, "octet")
+    char = int(octet) | (CTRL_FLAG if is_control else 0)
     sym = int(ENC_SYM[rd, char])
     if not sym:
         raise _invalid(char)
@@ -223,8 +225,9 @@ def encode_octet(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
 
 
 def decode_octet(sym: int, rd: int) -> tuple[int, bool, bool, bool, int]:
-    """Scalar decode; returns (octet, is_control, not_in_table, disparity_error, rd)."""
-    sym &= 0x3FF
+    """Scalar decode; returns (octet, is_control, not_in_table, disparity_error, rd).
+    A symbol outside 0..0x3FF raises ValueError."""
+    check_range(np.asarray(sym), 0x3FF, "symbol")
     char = int(DEC_CHAR[rd, sym])
     return (char & 0xFF, bool(char & CTRL_FLAG), bool(char & NIT_FLAG),
             bool(char & DERR_FLAG), _next_rd(sym, rd))
@@ -234,7 +237,7 @@ def encode_char(c: Char, rd: int) -> tuple[int, int]:
     """Encode one character at the given running disparity.
 
     Returns ``(symbol, next_rd)``.  Control octets outside the K-code set
-    raise :class:`InvalidControlCode`.
+    raise :class:`InvalidControlCode`, octets outside 0..0xFF ValueError.
     """
     return encode_octet(c.octet, c.is_control, rd)
 
@@ -242,9 +245,9 @@ def encode_char(c: Char, rd: int) -> tuple[int, int]:
 def decode_symbol(sym: int, rd: int) -> tuple[Char, int]:
     """Decode one 10-bit symbol at the given running disparity.
 
-    Never raises: out-of-table symbols decode to octet 0 with
-    ``not_in_table`` set, and disparity-rule violations set
-    ``disparity_error``.  The returned disparity always advances by the
+    Any symbol in 0..0x3FF decodes (others raise ValueError):
+    out-of-table symbols decode to octet 0 with ``not_in_table`` set,
+    and disparity-rule violations set ``disparity_error``.  The returned disparity always advances by the
     sign of the symbol's bit imbalance.
     """
     octet, ctrl, nit, derr, rd_out = decode_octet(sym, rd)
@@ -269,7 +272,7 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
     n = chars.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.uint16), rd
-    _check_range(chars, 0x7FF, "characters")
+    check_range(chars, 0x7FF, "characters")
     cum = np.bitwise_xor.accumulate(ENC_FLIP[chars])
     rd_in = np.empty(n, dtype=np.uint8)
     rd_in[0] = rd
@@ -287,7 +290,7 @@ def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, in
     n = syms.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.uint16), rd
-    _check_range(syms, 0x3FF, "symbols")
+    check_range(syms, 0x3FF, "symbols")
     ones = POP10[syms]
     idx = np.maximum.accumulate(np.where(ones != 5, np.arange(n), -1))
     rd_after = np.where(idx >= 0, ones[np.maximum(idx, 0)] > 5, bool(rd))
@@ -331,7 +334,7 @@ def bit_align(words: np.ndarray) -> tuple[int, np.ndarray]:
     ValueError for a non-integer array or a value outside 0..0x3FF.
     """
     w = np.asarray(words)
-    _check_range(w, 0x3FF, "words")
+    check_range(w, 0x3FF, "words")
     w = w.astype(np.uint32)
     n = w.shape[0]
     size = _COMMA_SEARCH_WORDS

@@ -66,6 +66,33 @@ def test_every_character_round_trips(tmp_path):
     assert np.array_equal(got, chars) and got.dtype == np.uint16
 
 
+# write_capture refuses what read_capture would refuse or misread: a lane
+# count other than L, and values that masking would turn into valid rows.
+@pytest.mark.parametrize("fmt,lanes", [
+    (FORMAT_SYMBOL10, [[469], [469], [469]]),
+    (FORMAT_SYMBOL10, [[469], [0x400 | 469]]),   # was written as 469
+    (FORMAT_OCTET_FLAG, [[0x41], [0x800 | 0x41]]),
+    (FORMAT_OCTET_FLAG, [[0x41], [-1]]),
+], ids=["symbol10-3-lanes", "symbol10-0x5D5", "octet_flag-0x841", "octet_flag--1"])
+def test_write_rejects_what_read_rejects(tmp_path, fmt, lanes):
+    path = tmp_path / "bad.cap"
+    field = "symbols" if fmt == FORMAT_SYMBOL10 else "chars"
+    cap = Capture(fmt, LinkConfig(L=2, F=4, K=32), 0,
+                  **{field: [np.array(v) for v in lanes]})
+    with pytest.raises(ValueError):
+        write_capture(str(path), cap)
+    assert not path.exists()
+
+
+def test_octet_flag_drops_error_flags(tmp_path):
+    chars = np.array([0x41 | codec.NIT_FLAG, codec.CTRL_FLAG | 0xBC | codec.DERR_FLAG])
+    path = str(tmp_path / "flags.cap")
+    write_capture(path, Capture(FORMAT_OCTET_FLAG, LinkConfig(L=1, F=4, K=32), 0,
+                                chars=[chars]))
+    got, = read_capture(path).chars
+    assert got.tolist() == [0x41, codec.CTRL_FLAG | 0xBC]
+
+
 def test_octet_flag_replay_takes_any_integer_dtype(live_run):
     # Library callers may build a capture from plain integer arrays.
     cfg, sim, report, unshifted = live_run

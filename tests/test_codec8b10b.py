@@ -6,8 +6,9 @@ import pytest
 from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, CTRL_FLAG, DERR_FLAG,
                                      NIT_FLAG, RD_NEG, RD_POS, Char,
                                      InvalidControlCode, NoCommaFound,
-                                     bit_align, decode_stream, decode_symbol,
-                                     encode_char, encode_stream, serialize)
+                                     bit_align, decode_octet, decode_stream,
+                                     decode_symbol, encode_char, encode_octet,
+                                     encode_stream, serialize)
 
 K_CODES = sorted(CONTROL_OCTETS.values())
 K28_5 = CTRL_FLAG | 0xBC
@@ -121,6 +122,21 @@ class TestErrorFlags:
         for sym in range(1024):
             ch, rd = decode_symbol(sym, rd)
             assert isinstance(ch, Char)
+
+    # The scalar forms reject what the stream forms reject, instead of
+    # masking it into a valid symbol or octet.
+    @pytest.mark.parametrize("call,args", [
+        (decode_symbol, (0x400 | 469, RD_NEG)),    # was data octet 0x41
+        (decode_octet, (-1, RD_NEG)),
+        (encode_char, (Char(0x141), RD_NEG)),      # was symbol 469
+        (encode_octet, (-0xBF, False, RD_NEG)),    # was symbol 469
+        (encode_octet, (0x1BC, True, RD_NEG)),
+    ], ids=["decode_symbol-0x5D5", "decode_octet--1", "encode_char-0x141",
+            "encode_octet--0xBF", "encode_octet-0x1BC"])
+    def test_scalar_rejects_out_of_range(self, call, args):
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert not isinstance(info.value, InvalidControlCode)
 
 
 class TestStreamForms:

@@ -11,6 +11,9 @@ Every attribute the package stores (``obj.name = ...``, augmented
 assignments included) must be loaded somewhere in the package, so state
 that is written but never read does not linger.  Attributes stored inside
 exception classes are exempt: they are a payload for the handler.
+
+Every module-level UPPER_CASE name is assigned in one module only; the
+others import it, so a constant cannot drift between two definitions.
 """
 
 import ast
@@ -71,6 +74,47 @@ def write_only_attributes(sources: dict[str, str]) -> list[str]:
             for name, node in sorted(attributes, key=lambda a: (a[0], a[1].lineno))
             if isinstance(node.ctx, ast.Store) and node.attr not in loaded
             and id(node) not in exempt]
+
+
+def repeated_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names assigned in more than one of
+    ``sources`` (module name -> text), as ``name: module, module``."""
+    owners: dict[str, set[str]] = {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if name.isupper():
+                    owners.setdefault(name, set()).add(module)
+    return [f"{name}: {', '.join(sorted(modules))}"
+            for name, modules in sorted(owners.items()) if len(modules) > 1]
+
+
+def test_each_constant_defined_once():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert repeated_constants(sources) == []
+
+
+def test_constant_check_flags_what_it_should():
+    first = "\n".join([
+        "OCTETS = 4",
+        "_TABLE: dict = {}",
+        "A, B = 1, 2",
+        "width = 8",
+        "def f():",
+        "    LOCAL = 3",
+    ])
+    second = "\n".join([
+        "from first import OCTETS, A",
+        "OCTETS = 4",
+        "_TABLE = {}",
+        "B += 1",
+        "width = 8",
+        "LOCAL = 1",
+    ])
+    assert repeated_constants({"first.py": first, "second.py": second}) == [
+        "OCTETS: first.py, second.py", "_TABLE: first.py, second.py"]
 
 
 def test_no_write_only_attributes():

@@ -140,6 +140,23 @@ class TestDataPhase:
         assert all(w[0] == (K_K,) * 4 for w in words)
 
 
+class TestTimeline:
+    def test_data_segments_record_lane_octet_and_cycle(self):
+        tx = TxLink(CFG)
+        tx.emit(10, True, None)           # cycles 0..9: CGS
+        tx.emit(20, False, 5)             # CGS to cycle 14, ILAS from cycle 15
+        tx.emit(200, False, None)         # four multiframes: data from cycle 143
+        ilas_cycles = 4 * CFG.fk // 4
+        assert tx.data_segments == [(0, 15 + ilas_cycles)]
+        assert tx.cycle == 230 and tx.lane_octets_sent == 4 * (230 - 143)
+        state = tx.snapshot()
+        tx.emit(5, True, None)            # resync: CGS on cycles 230..234
+        tx.emit(140, False, 0)            # ILAS from cycle 235, data from 363
+        assert tx.data_segments == [(0, 143), (348, 363)]
+        tx.restore(state)
+        assert tx.data_segments == [(0, 143)] and tx.cycle == 230
+
+
 class TestDeterminism:
     def test_reset_reproduces_state(self):
         tx = TxLink(CFG, payload=PayloadSpec(kind="random", seed=123))
