@@ -247,8 +247,8 @@ def decode_symbol(sym: int, rd: int) -> tuple[Char, int]:
 
     Any symbol in 0..0x3FF decodes (others raise ValueError):
     out-of-table symbols decode to octet 0 with ``not_in_table`` set,
-    and disparity-rule violations set ``disparity_error``.  The returned disparity always advances by the
-    sign of the symbol's bit imbalance.
+    and disparity-rule violations set ``disparity_error``.  The returned
+    disparity always advances by the sign of the symbol's bit imbalance.
     """
     octet, ctrl, nit, derr, rd_out = decode_octet(sym, rd)
     return Char(octet, ctrl, nit, derr), rd_out

@@ -282,8 +282,9 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
 
     Released output is reported in order: ``on_release(cycle)`` opens an
     output segment, ``on_output(per-lane octets)`` appends to the open
-    one; every lane's array has the same, nonzero length.  With ``stop_on_sync_change`` the call returns right after the
-    cycle on which the receiver's sync request changes.  Returns
+    one; every lane's array has the same, nonzero length.  With
+    ``stop_on_sync_change`` the call returns right after the cycle on
+    which the receiver's sync request changes.  Returns
     ``(cycles consumed, cycles fast-forwarded)``.
     """
     n = chars[0].shape[0] // OCTETS_PER_CYCLE

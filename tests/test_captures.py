@@ -84,15 +84,6 @@ def test_write_rejects_what_read_rejects(tmp_path, fmt, lanes):
     assert not path.exists()
 
 
-def test_octet_flag_drops_error_flags(tmp_path):
-    chars = np.array([0x41 | codec.NIT_FLAG, codec.CTRL_FLAG | 0xBC | codec.DERR_FLAG])
-    path = str(tmp_path / "flags.cap")
-    write_capture(path, Capture(FORMAT_OCTET_FLAG, LinkConfig(L=1, F=4, K=32), 0,
-                                chars=[chars]))
-    got, = read_capture(path).chars
-    assert got.tolist() == [0x41, codec.CTRL_FLAG | 0xBC]
-
-
 def test_octet_flag_replay_takes_any_integer_dtype(live_run):
     # Library callers may build a capture from plain integer arrays.
     cfg, sim, report, unshifted = live_run
