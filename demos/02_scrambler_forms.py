@@ -20,21 +20,22 @@ _, b = sc.descramble_bits(0x3FFF, line)
 first_agree = next(i for i in range(41) if a[i:] == b[i:])
 print(f"  two descramblers with opposite states agree from bit {first_agree}")
 
-print("\n=== Serial vs 32-bit parallel vs bulk array form ===")
+print("\n=== Bit-serial vs 32-bit parallel vs bulk array form ===")
 state = sc.ALL_ONES
 octets = rng.integers(0, 256, 12).astype(np.uint8)
-st_serial, serial = sc.scramble_octets_serial(state, octets.tolist())
-st_word = state
-parallel = []
-for i in range(0, 12, 4):
-    st_word, word = sc.scramble_word32(st_word, octets[i:i + 4].tolist())
-    parallel.extend(word)
+st_serial, bits = sc.scramble_bits(state, np.unpackbits(octets).tolist())
+serial = np.packbits(bits).tolist()
+words = octets.view(">u4")            # 32-bit words, earliest octet in the MSBs
+st_word, parallel = np.array([state]), []
+for i in range(words.shape[0]):      # each word's state comes from the one before
+    st_word, out = sc.scramble_words_batch(st_word, words[i:i + 1])
+    parallel.extend(int(out[0]).to_bytes(4, "big"))
 st_bulk, bulk = sc.scramble_octets(state, octets)
 print("  input   :", " ".join(f"{o:02X}" for o in octets))
 print("  serial  :", " ".join(f"{o:02X}" for o in serial))
 print("  parallel:", " ".join(f"{o:02X}" for o in parallel))
 print("  bulk    :", " ".join(f"{o:02X}" for o in bulk))
-assert serial == parallel == bulk.tolist() and st_serial == st_word == st_bulk
+assert serial == parallel == bulk.tolist() and st_serial == int(st_word[0]) == st_bulk
 print("  all three forms agree, including the threaded state")
 
 print("\n=== Error multiplication on the descrambled stream ===")

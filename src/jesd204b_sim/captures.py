@@ -171,28 +171,18 @@ def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,
     """Reassemble decoded lane octets into (sample_index, channel, value) rows.
 
     Inverts the transmitter's sample interleaving: lane l's octet pair q
-    is flat sample ``lanes * q + l``, high byte first.  Rows come out
-    dense and ordered by flat sample index; a trailing unpaired octet is
-    dropped.
+    is flat sample ``lanes * q + l``, high byte first.  The lanes release
+    in lockstep, so they must be equally long (else ValueError).  Rows
+    come out dense and ordered by flat sample index; a trailing unpaired
+    octet is dropped.
     """
-    cols = []
-    for lane, octets in enumerate(lane_outputs):
-        n_pairs = octets.shape[0] // 2
-        if n_pairs == 0:
-            continue
-        o = octets[: 2 * n_pairs].reshape(n_pairs, 2).astype(np.uint16)
-        values = (o[:, 0] << 8) | o[:, 1]
-        q = (start_lane_octet // 2) + np.arange(n_pairs, dtype=np.int64)
-        j = lanes * q + lane
-        cols.append(np.stack([j, np.zeros_like(j), values.astype(np.int64)], axis=1))
-    if not cols:
-        return np.zeros((0, 3), dtype=np.int64)
-    rows = np.concatenate(cols, axis=0)
-    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    j = rows[:, 0]
-    rows[:, 1] = j % channels
-    rows[:, 0] = j // channels
-    return rows
+    if len({octets.shape[0] for octets in lane_outputs}) != 1:
+        raise ValueError("sample_rows needs one or more lanes of equal length")
+    n_pairs = lane_outputs[0].shape[0] // 2
+    o = np.stack([octets[: 2 * n_pairs] for octets in lane_outputs], axis=1).astype(np.int64)
+    values = (o[0::2] << 8 | o[1::2]).ravel()
+    j = lanes * (start_lane_octet // 2) + np.arange(values.shape[0], dtype=np.int64)
+    return np.stack([j // channels, j % channels, values], axis=1)
 
 
 def write_sample_csv(path: str, rows: np.ndarray) -> None:

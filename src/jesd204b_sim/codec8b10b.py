@@ -189,15 +189,6 @@ def _build_tables() -> None:
 _build_tables()
 
 
-def _next_rd(sym: int, rd: int) -> int:
-    ones = POP10[sym]
-    if ones > 5:
-        return RD_POS
-    if ones < 5:
-        return RD_NEG
-    return rd
-
-
 def check_range(a: np.ndarray, top: int, what: str) -> None:
     """Raise ValueError unless ``a`` holds integers in 0..top (one max
     pass; a signed array also takes a min pass)."""
@@ -228,9 +219,9 @@ def decode_octet(sym: int, rd: int) -> tuple[int, bool, bool, bool, int]:
     """Scalar decode; returns (octet, is_control, not_in_table, disparity_error, rd).
     A symbol outside 0..0x3FF raises ValueError."""
     check_range(np.asarray(sym), 0x3FF, "symbol")
-    char = int(DEC_CHAR[rd, sym])
+    char, ones = int(DEC_CHAR[rd, sym]), POP10[sym]
     return (char & 0xFF, bool(char & CTRL_FLAG), bool(char & NIT_FLAG),
-            bool(char & DERR_FLAG), _next_rd(sym, rd))
+            bool(char & DERR_FLAG), rd if ones == 5 else int(ones > 5))
 
 
 def encode_char(c: Char, rd: int) -> tuple[int, int]:

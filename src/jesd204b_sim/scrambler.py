@@ -9,16 +9,18 @@ of the 14-bit state word, one serial step is::
     descramble:  out = in ^ state[12] ^ state[13];  state <- (state << 1 | in)  & 0x3FFF
 
 Bits are processed most-significant first within each octet, earliest
-octet first.  Equivalent forms are provided:
+octet first.  There is one form per job:
 
-* serial, one bit at a time (the reference form),
+* serial, one bit at a time: the reference form,
 * a 32-bit-wide feed-forward XOR network, mirroring a wide-datapath
   hardware implementation, applied to arrays of independent
-  (state, word) pairs; ``scramble_word32`` is a one-element batch,
-* bulk octet-array forms for long streams (the descramble direction is
-  a plain shifted XOR; the scramble direction uses iterated operator
-  doubling over GF(2), which costs O(log n) shifted-XOR passes),
-* ``descramble_word32``, the bulk form on one word, for the stepped receiver.
+  (state, word) pairs: the parallel form of the scrambler criterion,
+* bulk octet-array forms for long streams, used by the transmitter and
+  the fast path (the descramble direction is a plain shifted XOR; the
+  scramble direction uses iterated operator doubling over GF(2), which
+  costs O(log n) shifted-XOR passes),
+* ``descramble_word32``, the shifted XOR on one word, for the stepped
+  receiver.
 
 All forms are pure functions threading the state explicitly and are
 verified against each other bit-for-bit by the test suite.
@@ -67,27 +69,6 @@ def descramble_bits(state: int, bits: Iterable[int]) -> tuple[int, list[int]]:
     return state, out
 
 
-def _octets_to_bits(octets: Iterable[int]) -> list[int]:
-    return [(int(o) >> k) & 1 for o in octets for k in range(7, -1, -1)]
-
-
-def _bits_to_octets(bits: Sequence[int]) -> list[int]:
-    return [int("".join(str(b) for b in bits[i: i + 8]), 2)
-            for i in range(0, len(bits), 8)]
-
-
-def scramble_octets_serial(state: int, octets: Iterable[int]) -> tuple[int, list[int]]:
-    """Serial scramble of octets, MSB first within each octet."""
-    state, bits = scramble_bits(state, _octets_to_bits(octets))
-    return state, _bits_to_octets(bits)
-
-
-def descramble_octets_serial(state: int, octets: Iterable[int]) -> tuple[int, list[int]]:
-    """Serial descramble of octets, MSB first within each octet."""
-    state, bits = descramble_bits(state, _octets_to_bits(octets))
-    return state, _bits_to_octets(bits)
-
-
 # ---------------------------------------------------------------------------
 # 32-bit parallel form.  Because the update is linear over GF(2), each of
 # the 32 output bits is the XOR parity of a fixed mask over the input word
@@ -127,18 +108,6 @@ def _parity32(x: np.ndarray) -> np.ndarray:
     return x & np.uint32(1)
 
 
-def word_from_octets(octets: Sequence[int]) -> int:
-    """Pack 4 octets (earliest first) into a uint32, octet 0 in the MSBs."""
-    o = list(octets)
-    if len(o) != 4:
-        raise ValueError("a word is exactly 4 octets")
-    return ((o[0] & 0xFF) << 24) | ((o[1] & 0xFF) << 16) | ((o[2] & 0xFF) << 8) | (o[3] & 0xFF)
-
-
-def octets_from_word(word: int) -> tuple[int, int, int, int]:
-    return ((word >> 24) & 0xFF, (word >> 16) & 0xFF, (word >> 8) & 0xFF, word & 0xFF)
-
-
 def _apply_words_batch(words: np.ndarray, states: np.ndarray,
                        out_in, out_st, st_in, st_st) -> tuple[np.ndarray, np.ndarray]:
     words = np.asarray(words, dtype=np.uint32)
@@ -170,17 +139,13 @@ def descramble_words_batch(states: np.ndarray, words: np.ndarray
     return ns, out
 
 
-def scramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Scramble one 4-octet word through the parallel XOR network."""
-    ns, out = scramble_words_batch(np.array([state & STATE_MASK]),
-                                   np.array([word_from_octets(octets)]))
-    return int(ns[0]), octets_from_word(int(out[0]))
-
-
 def descramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Descramble one 4-octet word: out = in ^ in>>13 ^ in>>14 behind the state."""
-    x = (state & STATE_MASK) << 32 | word_from_octets(octets)
-    return x & STATE_MASK, octets_from_word((x ^ x >> _TAP_A ^ x >> _TAP_B) & 0xFFFFFFFF)
+    """Descramble one word of four octets or packed characters (flag bits
+    ignored): out = in ^ in>>13 ^ in>>14 behind the state."""
+    a, b, c, d = (o & 0xFF for o in octets)
+    x = (state & STATE_MASK) << 32 | a << 24 | b << 16 | c << 8 | d
+    y = x ^ x >> _TAP_A ^ x >> _TAP_B
+    return x & STATE_MASK, (y >> 24 & 0xFF, y >> 16 & 0xFF, y >> 8 & 0xFF, y & 0xFF)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,8 @@ class _BitErrors:
         self.pending = [np.array(sorted(b), dtype=np.int64) for b in given]
 
     def take(self, lane: int, lo: int, hi: int) -> np.ndarray:
-        """Flip positions of one lane in bits ``[lo, hi)``, duplicates kept."""
+        """Flip positions of one lane in bits ``[lo, hi)``, duplicates kept.
+        Positions below ``lo`` are dropped: later calls start there or after."""
         if self.rate > 0:
             while self.drawn[lane] < hi:
                 n = min(hi - self.drawn[lane], _FLIP_DRAW_CYCLES * BITS_PER_CYCLE)
@@ -254,12 +255,8 @@ class _BitErrors:
                 self.pending[lane] = np.concatenate(
                     [self.pending[lane], hits + self.drawn[lane]])
                 self.drawn[lane] += n
-        p = self.pending[lane]
-        return p[np.searchsorted(p, lo): np.searchsorted(p, hi)]
-
-    def forget(self, bit: int) -> None:
-        """Drop positions before ``bit``; they will not be asked for again."""
-        self.pending = [p[np.searchsorted(p, bit):] for p in self.pending]
+        p = self.pending[lane] = self.pending[lane][np.searchsorted(self.pending[lane], lo):]
+        return p[: np.searchsorted(p, hi)]
 
 
 def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
@@ -413,11 +410,10 @@ class Simulation:
         tx, rx = self.tx, self.rx
         tx.reset()
         rx.reset()
-        # The characters each lane receives, from octet ``_line_base`` on:
-        # its idle fill, then everything the transmitter has sent.
+        # The characters in flight on each lane, ``fill`` of them: the idle
+        # fill at reset, later the last ``fill`` characters sent.
         self._line = [np.full(fill, self.channel.idle_octet, np.uint16)
                       for fill in self.fills]
-        self._line_base = 0
         self._rd = [(codec.RD_NEG, codec.RD_NEG)] * lanes   # (encoder, decoder)
         flips = _BitErrors(self.channel, lanes)
         segments: list[_SegmentCheck] = []
@@ -445,7 +441,7 @@ class Simulation:
             sync = rx.sync_request
             released = rx.released
             release_cycle = -1
-            state = (tx.snapshot(), [a.shape[0] for a in self._line], self._rd)
+            state = (tx.snapshot(), self._line, self._rd)
             chars, line, lane_flips = self._advance(t, n, sync, flips)
             done, fast_cycles = drive_receiver(rx, chars, self.sysref, on_release,
                                                outputs.append, fast,
@@ -458,9 +454,8 @@ class Simulation:
             if done < n:
                 # The sync request changed: the cycles after the change were
                 # built on the old request, so rewind to the change.
-                snap, line_len, self._rd = state
+                snap, self._line, self._rd = state
                 tx.restore(snap)
-                self._line = [a[:k] for a, k in zip(self._line, line_len)]
                 line, lane_flips = self._advance(t, done, sync, flips)[1:]
                 chunk = _FIRST_CHUNK_CYCLES
             else:
@@ -479,10 +474,6 @@ class Simulation:
                 for lane, syms in enumerate(line):
                     received[lane].append(syms)
             t += done
-            flips.forget(BITS_PER_CYCLE * t)
-            drop = OCTETS_PER_CYCLE * t - self._line_base
-            self._line = [a[drop:] for a in self._line]
-            self._line_base += drop
 
         return self._build_report(duration, fast_used, segments, t_data,
                                   flips_injected, flips_pre_release, received)
@@ -492,10 +483,10 @@ class Simulation:
         """Transmitter, line and codec for cycles [t0, t0 + n_cycles), with
         the receiver's sync request held at ``sync``.
 
-        Appends the transmitter's output to the line and moves ``_rd`` to
-        the end of the span.  Returns per lane the packed decoded
-        characters, the line symbols (only when collected) and the flip
-        positions relative to the span.
+        Sends the transmitter's output into the line, codes what leaves it
+        and moves ``_line`` and ``_rd`` to the end of the span.  Returns
+        per lane the packed decoded characters, the line symbols (only
+        when collected) and the flip positions relative to the span.
         """
         tx, fk = self.tx, self.cfg.fk
         boundary = None
@@ -503,13 +494,15 @@ class Simulation:
             # The grid repeats every multiframe, so one multiframe is enough.
             boundary = next((i for i in range(min(n_cycles, fk // OCTETS_PER_CYCLE))
                              if self.sysref.tx_boundary(t0 + i, fk)), None)
-        self._line = [np.concatenate([line, sent]) for line, sent
-                      in zip(self._line, tx.emit(n_cycles, sync, boundary))]
-        chars, line, lane_flips, rd = [], [], [], []
-        lo = OCTETS_PER_CYCLE * t0 - self._line_base
-        hi = lo + OCTETS_PER_CYCLE * n_cycles
+        line = tx.emit(n_cycles, sync, boundary)
+        count = OCTETS_PER_CYCLE * n_cycles
+        chars, symbols, lane_flips, rd = [], [], [], []
         for lane, (enc_rd, dec_rd) in enumerate(self._rd):
-            syms, enc_rd = codec.encode_stream(self._line[lane][lo:hi], enc_rd)
+            stream = np.concatenate([self._line[lane], line[lane]])
+            syms, enc_rd = codec.encode_stream(stream[:count], enc_rd)
+            # Copy what stays in flight, then free the stream: lowest peak RSS.
+            line[lane] = stream[count:].copy()
+            del stream
             pos = flips.take(lane, BITS_PER_CYCLE * t0,
                              BITS_PER_CYCLE * (t0 + n_cycles)) - BITS_PER_CYCLE * t0
             if pos.shape[0]:
@@ -518,11 +511,11 @@ class Simulation:
             lane_chars, dec_rd = codec.decode_stream(syms, dec_rd)
             chars.append(lane_chars)
             if self.collect_received:
-                line.append(syms)
+                symbols.append(syms)
             lane_flips.append(pos)
             rd.append((enc_rd, dec_rd))
-        self._rd = rd
-        return chars, line, lane_flips
+        self._line, self._rd = line, rd
+        return chars, symbols, lane_flips
 
     # -- reporting -------------------------------------------------------------
 

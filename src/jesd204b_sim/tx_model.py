@@ -213,17 +213,11 @@ class TxLink:
         return [np.concatenate(parts, dtype=np.uint16) for parts in lanes]
 
     def step(self, sync_request: bool, lmfc_boundary: bool
-             ) -> list[tuple[tuple[int, int, int, int], int]]:
-        """Emit one cycle as one word per lane: ((o0, o1, o2, o3), control_mask).
-
-        Bit i of the control mask marks octet i as a control character.
-        """
-        words = []
-        for lane in self.emit(1, sync_request, 0 if lmfc_boundary else None):
-            chars = lane.tolist()
-            words.append((tuple(c & 0xFF for c in chars),
-                          sum(1 << i for i, c in enumerate(chars) if c & CTRL_FLAG)))
-        return words
+             ) -> list[tuple[int, int, int, int]]:
+        """Emit one cycle as one word of four packed characters per lane,
+        the word :meth:`RxReceiver.step_packed` takes."""
+        return [tuple(lane.tolist())
+                for lane in self.emit(1, sync_request, 0 if lmfc_boundary else None)]
 
     def bulk_data(self, n_cycles: int) -> list[np.ndarray]:
         """Emit ``n_cycles`` worth of data-phase octets per lane.

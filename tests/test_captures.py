@@ -8,7 +8,7 @@ import pytest
 
 from jesd204b_sim import codec8b10b as codec
 from jesd204b_sim.captures import (FORMAT_OCTET_FLAG, FORMAT_SYMBOL10, Capture,
-                                   read_capture, write_capture)
+                                   read_capture, sample_rows, write_capture)
 from jesd204b_sim.cli import EXIT_OK, decode_capture, main
 from jesd204b_sim.codec8b10b import serialize
 from jesd204b_sim.config import LinkConfig
@@ -93,6 +93,21 @@ def test_octet_flag_replay_takes_any_integer_dtype(live_run):
             lane.astype(dtype) for lane in chars]))
         assert rx.t_release == report.t_release
         assert all(np.array_equal(a, b) for a, b in zip(segments[0].arrays(), unshifted))
+
+
+def test_sample_rows_number_lanes_in_lockstep():
+    # L=2, three channels, from lane octet 4: lane l's pair q is flat
+    # sample 2 * (2 + q) + l.
+    lanes = [np.array([1, 2, 3, 4], np.uint8), np.array([5, 6, 7, 8], np.uint8)]
+    rows = sample_rows(lanes, 2, 3, start_lane_octet=4)
+    assert rows.tolist() == [[1, 1, 258], [1, 2, 1286], [2, 0, 772], [2, 1, 1800]]
+
+
+def test_sample_rows_reject_unequal_lanes():
+    # Lanes release in lockstep; unequal lanes would leave gaps in the
+    # sample index.
+    with pytest.raises(ValueError):
+        sample_rows([np.array([1, 2], np.uint8), np.array([5, 6, 7, 8], np.uint8)], 2, 1)
 
 
 def _words(bits):

@@ -47,11 +47,8 @@ class MiniLink:
         mf_cycles = cfg.fk // 4
         for t in range(self.rx.cycle + 1, self.rx.cycle + 1 + cycles):
             boundary = t >= sysref_first and (t - sysref_first) % mf_cycles == 0
-            words = self.tx.step(self.sync_seen, boundary)
-            for lane, (octs, mask) in enumerate(words):
-                self.tx_chars[lane].extend(
-                    o | (CTRL_FLAG if (mask >> i) & 1 else 0)
-                    for i, o in enumerate(octs))
+            for lane, word in enumerate(self.tx.step(self.sync_seen, boundary)):
+                self.tx_chars[lane].extend(word)
             pulse = t >= sysref_first and (t - sysref_first) % period == 0
             rx_words = []
             for lane in range(cfg.L):

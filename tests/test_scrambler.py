@@ -124,8 +124,9 @@ class TestSerialForm:
 
 class TestWord32Form:
     def test_zero_word_zero_state_fixed_point(self):
-        st, out = sc.scramble_word32(0, [0, 0, 0, 0])
-        assert st == 0 and out == (0, 0, 0, 0)
+        zero = np.zeros(1, dtype=np.uint32)
+        st, out = sc.scramble_words_batch(zero, zero)
+        assert st.tolist() == [0] and out.tolist() == [0]
         st, out = sc.descramble_word32(0, [0, 0, 0, 0])
         assert st == 0 and out == (0, 0, 0, 0)
 
@@ -136,15 +137,23 @@ class TestWord32Form:
             octets = [int(x) for x in rng.integers(0, 256, 4)]
             bits = bits_of_octets(octets)
             st_o, out_o = oracle_scramble(state, bits)
-            st_w, out_w = sc.scramble_word32(state, octets)
-            assert list(out_w) == [int("".join(map(str, out_o[i:i + 8])), 2)
-                                   for i in range(0, 32, 8)]
-            assert st_w == st_o
+            st_w, out_w = sc.scramble_words_batch(
+                np.array([state], dtype=np.uint32),
+                np.array([int.from_bytes(bytes(octets), "big")], dtype=np.uint32))
+            assert out_w.tolist() == [int("".join(map(str, out_o)), 2)]
+            assert st_w.tolist() == [st_o]
             st_o, out_o = oracle_descramble(state, bits)
             st_w, out_w = sc.descramble_word32(state, octets)
             assert list(out_w) == [int("".join(map(str, out_o[i:i + 8])), 2)
                                    for i in range(0, 32, 8)]
             assert st_w == st_o
+
+    def test_descramble_word32_ignores_flag_bits(self):
+        # Stepped data words are packed characters; decode flags sit above
+        # the octet and must not reach the descrambler.
+        flagged = [0x2A5, 0x4C3, 0x617, 0x0F0]
+        assert sc.descramble_word32(0x1234, flagged) == \
+            sc.descramble_word32(0x1234, [c & 0xFF for c in flagged])
 
     def test_batch_matches_oracle(self):
         rng = np.random.default_rng(21)

@@ -15,13 +15,11 @@ CFG = LinkConfig(L=2, F=4, K=32, scrambling=1)
 
 
 def run_tx(tx, cycles, sync, boundary_every=32, start=0):
-    """Step the transmitter; returns per-lane (octets, ctrl) lists."""
-    out = [([], []) for _ in range(tx.cfg.L)]
+    """Step the transmitter; returns per-lane lists of packed characters."""
+    out = [[] for _ in range(tx.cfg.L)]
     for t in range(start, start + cycles):
-        words = tx.step(sync, t % boundary_every == 0)
-        for lane, (octs, mask) in enumerate(words):
-            out[lane][0].extend(octs)
-            out[lane][1].extend(((mask >> i) & 1 for i in range(4)))
+        for lane, word in enumerate(tx.step(sync, t % boundary_every == 0)):
+            out[lane].extend(word)
     return out
 
 
@@ -29,18 +27,17 @@ class TestCgsPhase:
     def test_sync_asserted_emits_commas(self):
         tx = TxLink(CFG)
         streams = run_tx(tx, 10, sync=True)
-        for octs, ctrl in streams:
-            assert octs == [K_K] * 40
-            assert ctrl == [1] * 40
+        for chars in streams:
+            assert chars == [CTRL_FLAG | K_K] * 40
 
     def test_ilas_starts_only_at_boundary(self):
         tx = TxLink(CFG)
         tx.step(True, True)
         for off in range(1, 5):   # boundary is at t % 32 == 0
             words = tx.step(False, False)
-            assert all(o == K_K for o, _ in [(w[0][0], 0) for w in words])
+            assert all(w == (CTRL_FLAG | K_K,) * 4 for w in words)
         words = tx.step(False, True)
-        assert words[0][0][0] == K_R  # first alignment word begins /R/
+        assert words[0][0] == CTRL_FLAG | K_R  # first alignment word begins /R/
 
 
 class TestIlasLayout:
@@ -92,8 +89,8 @@ class TestDataPhase:
         tx = TxLink(CFG)
         tx.step(True, True)
         words = [tx.step(False, t == 0) for t in range(4 * CFG.fk // 4 + 1)]
-        lane0 = [o for w in words for o in w[0][0]]
-        assert lane0[0] == K_R
+        lane0 = [c for w in words for c in w[0]]
+        assert lane0[0] == CTRL_FLAG | K_R
         assert tx.phase == "DATA"
         assert len(lane0) == 4 * CFG.fk + 4  # alignment + first data word
 
@@ -103,11 +100,12 @@ class TestDataPhase:
         tx = TxLink(CFG, payload=pay)
         self._to_data(tx)
         streams = run_tx(tx, 100, sync=False)
-        for lane, (octs, ctrl) in enumerate(streams):
-            assert not any(ctrl)
-            _, plain = scrambler.descramble_octets_serial(scrambler.ALL_ONES, octs)
+        for lane, chars in enumerate(streams):
+            assert max(chars) < CTRL_FLAG
+            bits = np.unpackbits(np.array(chars, dtype=np.uint8)).tolist()
+            _, plain = scrambler.descramble_bits(scrambler.ALL_ONES, bits)
             expected = lane_payload_octets(pay, CFG.L, lane, 0, 400)
-            assert plain == expected.tolist()
+            assert np.packbits(plain).tolist() == expected.tolist()
 
     def test_unscrambled_output_is_payload(self):
         cfg = LinkConfig(L=2, F=4, K=32, scrambling=0)
@@ -115,8 +113,8 @@ class TestDataPhase:
         tx = TxLink(cfg, payload=pay)
         self._to_data(tx)
         streams = run_tx(tx, 50, sync=False)
-        for lane, (octs, _) in enumerate(streams):
-            assert octs == lane_payload_octets(pay, 2, lane, 0, 200).tolist()
+        for lane, chars in enumerate(streams):
+            assert chars == lane_payload_octets(pay, 2, lane, 0, 200).tolist()
 
     def test_bulk_data_equals_stepping(self):
         pay = PayloadSpec(kind="random", seed=5, channels=8)
@@ -127,7 +125,7 @@ class TestDataPhase:
         stepped = run_tx(tx1, 64, sync=False)
         bulk = tx2.bulk_data(64)
         for lane in range(CFG.L):
-            assert stepped[lane][0] == bulk[lane].tolist()
+            assert stepped[lane] == bulk[lane].tolist()
         assert tx1.scr_states == tx2.scr_states
         assert tx1.lane_octets_sent == tx2.lane_octets_sent
 
@@ -137,7 +135,7 @@ class TestDataPhase:
         run_tx(tx, 10, sync=False)
         words = tx.step(True, False)
         assert tx.phase == "CGS"
-        assert all(w[0] == (K_K,) * 4 for w in words)
+        assert all(w == (CTRL_FLAG | K_K,) * 4 for w in words)
 
 
 class TestTimeline:
