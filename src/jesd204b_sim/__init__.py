@@ -7,7 +7,7 @@ Library layout:
 * :mod:`~jesd204b_sim.codec8b10b`: 8b/10b coding, serialization, comma
   alignment.
 * :mod:`~jesd204b_sim.scrambler`: self-synchronizing scrambler over
-  x^14 + x^13 + 1 (serial, 32-bit parallel and bulk forms).
+  x^14 + x^13 + 1 (bit-serial, 32-bit parallel, bulk and one-word forms).
 * :mod:`~jesd204b_sim.tx_model`: golden transmitter and payload
   generators.
 * :mod:`~jesd204b_sim.rx_core`: the receiver (lane datapaths, link FSM,

@@ -25,7 +25,7 @@ from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
 from .config import (ILAS_FIELD_LAYOUT, IlasConfig, LinkConfig, ParseError,
                      check_int, check_keys, validate_config)
 from .rx_core import RxReceiver
-from .sim_harness import (ChannelSpec, Simulation, SysrefSpec, _SegmentCheck,
+from .sim_harness import (ChannelSpec, SegmentCheck, Simulation, SysrefSpec,
                           drive_receiver, measure_latency_determinism)
 from .tx_model import PayloadSpec
 
@@ -165,13 +165,16 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
     """Decode a capture into per-lane packed characters, whole cycles only."""
     lanes = cap.chars if cap.fmt == FORMAT_OCTET_FLAG else [
         codec.decode_stream(codec.bit_align(words)[1], codec.RD_NEG)[0] for words in cap.symbols]
+    if cap.fmt == FORMAT_OCTET_FLAG:   # bit_align range-checks symbol10 words
+        for lane in lanes:
+            codec.check_range(np.asarray(lane), 0x7FF, "chars")
     n_octets = 4 * (min(len(lane) for lane in lanes) // 4)
     return [np.asarray(lane[:n_octets], dtype=np.uint16) for lane in lanes]
 
 
 def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
                    payload: PayloadSpec | None = None
-                   ) -> tuple[RxReceiver, list[_SegmentCheck]]:
+                   ) -> tuple[RxReceiver, list[SegmentCheck]]:
     """Replay a capture through the receiver as if live, with ``sysref``.
 
     Returns the receiver and one segment per release, holding its output
@@ -183,10 +186,10 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
     cfg = cap.config
     rx = RxReceiver(cfg)
     chars = _capture_chars(cap)
-    segments: list[_SegmentCheck] = []
+    segments: list[SegmentCheck] = []
 
     def on_release(cycle: int) -> None:
-        segments.append(_SegmentCheck(None if segments else payload, cfg.L, 0, True))
+        segments.append(SegmentCheck(None if segments else payload, cfg.L, 0, True))
 
     n_cycles, _ = drive_receiver(rx, chars, sysref or SysrefSpec(), on_release,
                                  lambda outs: segments[-1].absorb(outs))

@@ -198,6 +198,11 @@ def check_range(a: np.ndarray, top: int, what: str) -> None:
         raise ValueError(f"{what} must lie in 0..0x{top:X}")
 
 
+def _check_rd(rd: int) -> None:
+    if rd not in (RD_NEG, RD_POS):
+        raise ValueError(f"running disparity must be RD_NEG or RD_POS, got {rd!r}")
+
+
 def _invalid(char: int) -> InvalidControlCode:
     if char >= 2 * CTRL_FLAG:
         return InvalidControlCode(f"character 0x{char:03X} carries error flags")
@@ -206,8 +211,9 @@ def _invalid(char: int) -> InvalidControlCode:
 
 def encode_octet(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
     """Scalar encode without the :class:`Char` wrapper; returns (symbol, rd).
-    An octet outside 0..0xFF raises ValueError."""
+    An octet outside 0..0xFF or a disparity not RD_NEG/RD_POS raises ValueError."""
     check_range(np.asarray(octet), 0xFF, "octet")
+    _check_rd(rd)
     char = int(octet) | (CTRL_FLAG if is_control else 0)
     sym = int(ENC_SYM[rd, char])
     if not sym:
@@ -217,8 +223,9 @@ def encode_octet(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
 
 def decode_octet(sym: int, rd: int) -> tuple[int, bool, bool, bool, int]:
     """Scalar decode; returns (octet, is_control, not_in_table, disparity_error, rd).
-    A symbol outside 0..0x3FF raises ValueError."""
+    A symbol outside 0..0x3FF or a disparity not RD_NEG/RD_POS raises ValueError."""
     check_range(np.asarray(sym), 0x3FF, "symbol")
+    _check_rd(rd)
     char, ones = int(DEC_CHAR[rd, sym]), POP10[sym]
     return (char & 0xFF, bool(char & CTRL_FLAG), bool(char & NIT_FLAG),
             bool(char & DERR_FLAG), rd if ones == 5 else int(ones > 5))
@@ -228,7 +235,7 @@ def encode_char(c: Char, rd: int) -> tuple[int, int]:
     """Encode one character at the given running disparity.
 
     Returns ``(symbol, next_rd)``.  Control octets outside the K-code set
-    raise :class:`InvalidControlCode`, octets outside 0..0xFF ValueError.
+    raise :class:`InvalidControlCode`; a bad octet or disparity, ValueError.
     """
     return encode_octet(c.octet, c.is_control, rd)
 
@@ -236,7 +243,7 @@ def encode_char(c: Char, rd: int) -> tuple[int, int]:
 def decode_symbol(sym: int, rd: int) -> tuple[Char, int]:
     """Decode one 10-bit symbol at the given running disparity.
 
-    Any symbol in 0..0x3FF decodes (others raise ValueError):
+    Any symbol in 0..0x3FF decodes (others, or a bad disparity, raise ValueError):
     out-of-table symbols decode to octet 0 with ``not_in_table`` set,
     and disparity-rule violations set ``disparity_error``.  The returned
     disparity always advances by the sign of the symbol's bit imbalance.
@@ -256,9 +263,10 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
     """Encode packed characters; returns (symbols, final rd).
 
     A control octet outside the K set, or a character carrying error
-    flags, raises :class:`InvalidControlCode`; a non-integer array or a
-    value outside 0..0x7FF raises ValueError.
+    flags, raises :class:`InvalidControlCode`; a non-integer array, a value
+    outside 0..0x7FF or a disparity not RD_NEG/RD_POS raises ValueError.
     """
+    _check_rd(rd)
     chars = np.asarray(chars)
     n = chars.shape[0]
     if n == 0:
@@ -275,8 +283,9 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
 
 
 def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]:
-    """Decode symbols, integers in 0..0x3FF (else ValueError); returns
-    (packed characters, final rd)."""
+    """Decode symbols, integers in 0..0x3FF, from RD_NEG or RD_POS (else
+    ValueError); returns (packed characters, final rd)."""
+    _check_rd(rd)
     syms = np.asarray(symbols)
     n = syms.shape[0]
     if n == 0:

@@ -334,7 +334,7 @@ def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
     return i, fast_cycles
 
 
-class _SegmentCheck:
+class SegmentCheck:
     """One output segment, compared as it arrives against the generator
     from lane octet ``m0`` (unless ``payload`` is None), kept if ``store``.
     Every lane releases in lockstep, so ``off`` octets have arrived per lane."""
@@ -416,7 +416,7 @@ class Simulation:
                       for fill in self.fills]
         self._rd = [(codec.RD_NEG, codec.RD_NEG)] * lanes   # (encoder, decoder)
         flips = _BitErrors(self.channel, lanes)
-        segments: list[_SegmentCheck] = []
+        segments: list[SegmentCheck] = []
         received: list[list[np.ndarray]] = [[] for _ in range(lanes)]
         flips_injected = flips_pre_release = 0
         fast_used = False
@@ -428,7 +428,7 @@ class Simulation:
             m0, data_cycle = tx.data_segments[-1]
             if not segments:
                 t_data = data_cycle
-            segments.append(_SegmentCheck(self.payload, lanes, m0, self.collect_output))
+            segments.append(SegmentCheck(self.payload, lanes, m0, self.collect_output))
 
         # A segment closes only on a fault, which ends the chunk, so all of
         # a chunk's output belongs to the segment open at its end; it is
@@ -520,7 +520,7 @@ class Simulation:
     # -- reporting -------------------------------------------------------------
 
     def _build_report(self, duration: int, fast_used: bool,
-                      segments: list[_SegmentCheck], t_data: int,
+                      segments: list[SegmentCheck], t_data: int,
                       flips_injected: int, flips_pre_release: int,
                       received: list[list[np.ndarray]]) -> SimReport:
         cfg = self.cfg

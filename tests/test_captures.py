@@ -95,6 +95,19 @@ def test_octet_flag_replay_takes_any_integer_dtype(live_run):
         assert all(np.array_equal(a, b) for a, b in zip(segments[0].arrays(), unshifted))
 
 
+@pytest.mark.parametrize("change", [
+    lambda lane: lane.astype(np.int64) + 0x10000,
+    lambda lane: lane.astype(np.int64) - 0x10000,
+    lambda lane: lane.astype(np.float64),
+], ids=["plus-0x10000", "minus-0x10000", "float64"])
+def test_octet_flag_replay_rejects_out_of_range(live_run, change):
+    # Each of these once decoded exactly like the unchanged capture.
+    cfg, sim, _, _ = live_run
+    chars = [change(codec.decode_stream(syms)[0]) for syms in sim.received_symbols]
+    with pytest.raises(ValueError, match="chars"):
+        decode_capture(Capture(FORMAT_OCTET_FLAG, cfg, 0, chars=chars))
+
+
 def test_sample_rows_number_lanes_in_lockstep():
     # L=2, three channels, from lane octet 4: lane l's pair q is flat
     # sample 2 * (2 + q) + l.

@@ -190,6 +190,24 @@ class TestStreamForms:
             call(values)
         assert not isinstance(info.value, (InvalidControlCode, NoCommaFound))
 
+    # A running disparity is RD_NEG or RD_POS; anything else is rejected
+    # rather than indexing a table row or passing through unchanged.
+    @pytest.mark.parametrize("call,args", [
+        (encode_octet, (0x41, False, -1)),         # gave (549, -2)
+        (decode_octet, (469, -1)),                 # decoded at RD_POS
+        (encode_char, (Char(0x41), -1)),
+        (decode_symbol, (469, -1)),
+        (encode_stream, (np.zeros(0, np.uint16), 7)),   # returned rd=7
+        (encode_stream, (np.array([0x41], np.uint16), 2)),
+        (decode_stream, (np.zeros(0, np.uint16), 7)),
+        (decode_stream, (np.array([469], np.uint16), -1)),
+    ], ids=["encode_octet", "decode_octet", "encode_char", "decode_symbol",
+            "encode_stream-empty", "encode_stream", "decode_stream-empty",
+            "decode_stream"])
+    def test_rejects_disparity_other_than_neg_or_pos(self, call, args):
+        with pytest.raises(ValueError, match="running disparity"):
+            call(*args)
+
     def test_stream_takes_any_integer_dtype_in_range(self):
         chars = np.array([0x41, K28_5, 0x7F, 0x00], dtype=np.uint16)
         syms, rd = encode_stream(chars, RD_NEG)

@@ -14,6 +14,10 @@ exception classes are exempt: they are a payload for the handler.
 
 Every module-level UPPER_CASE name is assigned in one module only; the
 others import it, so a constant cannot drift between two definitions.
+
+No module reaches for another module's private (underscore) names, by
+import or through an imported name; what crosses a module boundary is
+public.
 """
 
 import ast
@@ -89,6 +93,53 @@ def repeated_constants(sources: dict[str, str]) -> list[str]:
                     owners.setdefault(name, set()).add(module)
     return [f"{name}: {', '.join(sorted(modules))}"
             for name, modules in sorted(owners.items()) if len(modules) > 1]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names taken from other modules, as ``line n: name``: imported
+    (``from m import _x``, ``import m._x``) or read through an imported
+    name (``m._x``)."""
+    tree = ast.parse(source)
+    found, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if any(_private(part) for part in a.name.split("."))]
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported and _private(node.attr)]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_check_flags_what_it_should():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import json",
+        "from .a import _b, c",
+        "from .d import (e as _e,",
+        "                f)",
+        "from . import g",
+        "import h._i",
+        "x = g._j + g.k + c.__doc__ + json._default_decoder + _e",
+        "class T:",
+        "    def m(self):",
+        "        return self._own",
+    ])
+    assert private_imports(source) == [
+        "line 3: _b", "line 7: h._i", "line 8: g._j", "line 8: json._default_decoder"]
 
 
 def test_each_constant_defined_once():
