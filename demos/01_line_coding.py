@@ -5,20 +5,20 @@ Run:  python3 demos/01_line_coding.py
 
 import numpy as np
 
-from jesd204b_sim.codec8b10b import (CTRL_FLAG, Char, bit_align,
-                                     decode_stream, decode_symbol, encode_char,
+from jesd204b_sim.codec8b10b import (CTRL_FLAG, bit_align, decode_octet,
+                                     decode_stream, encode_octet,
                                      encode_stream, serialize, RD_NEG, RD_POS)
 
 print("=== Encoding single characters ===")
-for octet, ctrl, name in [(0xBC, True, "K28.5 (comma)"), (0x1C, True, "K28.0"),
-                          (0x00, False, "D0.0"), (0xA5, False, "D5.5")]:
+# A character is packed: the octet, plus CTRL_FLAG for a K code.
+for char, name in [(CTRL_FLAG | 0xBC, "K28.5 (comma)"), (CTRL_FLAG | 0x1C, "K28.0"),
+                   (0x00, "D0.0"), (0xA5, "D5.5")]:
     for rd, rd_name in [(RD_NEG, "RD-"), (RD_POS, "RD+")]:
-        sym, rd_out = encode_char(Char(octet, ctrl), rd)
+        sym, rd_out = encode_octet(char, rd)
         print(f"  {name:14s} {rd_name}: {sym:010b} -> next {'RD+' if rd_out else 'RD-'}")
 
 print("\n=== Round trip and disparity bound over a random stream ===")
 rng = np.random.default_rng(0)
-# Streams carry packed characters: the octet, plus CTRL_FLAG for a K code.
 chars = rng.integers(0, 256, 10_000).astype(np.uint16)
 syms, _ = encode_stream(chars)
 bits = serialize(syms)
@@ -29,8 +29,8 @@ print(f"  {len(chars)} octets -> {len(bits)} line bits, "
 rd = RD_NEG
 errors = 0
 for i, s in enumerate(syms[:2000]):
-    ch, rd = decode_symbol(int(s), rd)
-    errors += ch.octet != chars[i]
+    char, rd = decode_octet(int(s), rd)
+    errors += char != chars[i]
 print(f"  decode of the first 2000 symbols: {errors} mismatches")
 decoded, _ = decode_stream(syms)
 print(f"  stream decode of all {len(syms)}: "

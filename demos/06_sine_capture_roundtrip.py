@@ -22,8 +22,8 @@ sim = Simulation(cfg, payload=payload, channel=ChannelSpec(skew=[0, 6]),
 report = sim.run(4000)
 assert report.payload_match
 
-rows = sample_rows(sim.output_segments[0], cfg.L, payload.channels,
-                   start_lane_octet=sim.segment_tx_starts[0])
+seg = sim.segments[0]
+rows = sample_rows(seg.arrays(), cfg.L, payload.channels, start_lane_octet=seg.m0)
 print(f"decoded {rows.shape[0]} samples across {payload.channels} channels")
 
 ch0 = rows[rows[:, 1] == 0][:, 2].astype(np.int64)

@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`~jesd204b_sim.config`: link parameters and the 14-octet lane
   configuration image.
-* :mod:`~jesd204b_sim.codec8b10b`: 8b/10b coding, serialization, comma
-  alignment.
+* :mod:`~jesd204b_sim.codec8b10b`: 8b/10b coding of packed characters
+  (scalar and stream forms), serialization, comma alignment.
 * :mod:`~jesd204b_sim.scrambler`: self-synchronizing scrambler over
   x^14 + x^13 + 1 (bit-serial, 32-bit parallel, bulk and one-word forms).
 * :mod:`~jesd204b_sim.tx_model`: golden transmitter and payload
@@ -18,8 +18,8 @@ Library layout:
   and the ``jesd204b-sim`` command-line tool.
 """
 
-from .codec8b10b import (Char, InvalidControlCode, NoCommaFound, bit_align,
-                         decode_stream, decode_symbol, encode_char,
+from .codec8b10b import (InvalidControlCode, NoCommaFound, bit_align,
+                         decode_octet, decode_stream, encode_octet,
                          encode_stream, serialize)
 from .config import (ConfigError, ConstraintViolation, FieldOverflow,
                      IlasConfig, LinkConfig, ParseError, check_config,
@@ -34,8 +34,8 @@ from .tx_model import PayloadSpec, TxLink, build_ilas, lane_payload_octets
 __version__ = "0.1.0"
 
 __all__ = [
-    "Char", "InvalidControlCode", "NoCommaFound", "bit_align",
-    "decode_stream", "decode_symbol", "encode_char", "encode_stream",
+    "InvalidControlCode", "NoCommaFound", "bit_align",
+    "decode_octet", "decode_stream", "encode_octet", "encode_stream",
     "serialize",
     "ConfigError", "ConstraintViolation", "FieldOverflow", "IlasConfig",
     "LinkConfig", "ParseError", "check_config", "compute_fchk",

@@ -125,10 +125,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.log:
         with open(args.log, "w", encoding="ascii") as fh:
             fh.write("\n".join(report.event_log) + "\n")
-    if args.dump_samples and sim.output_segments:
+    if args.dump_samples and sim.segments:
         payload = sections.get("payload") or PayloadSpec()
-        rows = sample_rows(sim.output_segments[0], cfg.L, payload.channels,
-                           start_lane_octet=sim.segment_tx_starts[0])
+        seg = sim.segments[0]
+        rows = sample_rows(seg.arrays(), cfg.L, payload.channels,
+                           start_lane_octet=seg.m0)
         write_sample_csv(args.dump_samples, rows)
     ok = (report.sync_achieved and report.payload_match
           and report.resync_count <= args.max_resyncs)

@@ -10,8 +10,9 @@ A lane's characters take one format from transmitter to receiver, the
 packed character: a uint16 with the octet in bits 7:0, ``CTRL_FLAG``
 (bit 8) for a control character and, once decoded, ``NIT_FLAG`` (bit 9,
 not in table) and ``DERR_FLAG`` (bit 10, disparity error).  The stream
-forms take and return packed arrays, through one table each way; the
-scalar forms and :class:`Char` serve the codec criterion and the demos.
+forms take and return packed arrays, and the scalar forms
+(:func:`encode_octet`, :func:`decode_octet`) one packed character, through
+the same table each way.
 
 The transmit side is restricted to the five control characters the link
 layer uses:
@@ -39,8 +40,6 @@ serves tests and demos.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,16 +78,6 @@ class InvalidControlCode(ValueError):
 
 class NoCommaFound(ValueError):
     """Bit alignment exhausted its search window without seeing a comma."""
-
-
-@dataclass(frozen=True)
-class Char:
-    """One decoded octet with its control flag and decode-error flags."""
-
-    octet: int
-    is_control: bool = False
-    not_in_table: bool = False
-    disparity_error: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -209,47 +198,35 @@ def _invalid(char: int) -> InvalidControlCode:
     return InvalidControlCode(f"octet 0x{char & 0xFF:02X} is not a valid K code here")
 
 
-def encode_octet(octet: int, is_control: bool, rd: int) -> tuple[int, int]:
-    """Scalar encode without the :class:`Char` wrapper; returns (symbol, rd).
-    An octet outside 0..0xFF or a disparity not RD_NEG/RD_POS raises ValueError."""
-    check_range(np.asarray(octet), 0xFF, "octet")
+def encode_octet(char: int, rd: int) -> tuple[int, int]:
+    """Encode one packed character at the given running disparity;
+    returns ``(symbol, next rd)``.
+
+    A control octet outside the K-code set, or a character carrying
+    error flags, raises :class:`InvalidControlCode`; a character outside
+    0..0x7FF or a disparity not RD_NEG/RD_POS raises ValueError.
+    """
+    check_range(np.asarray(char), 0x7FF, "character")
     _check_rd(rd)
-    char = int(octet) | (CTRL_FLAG if is_control else 0)
     sym = int(ENC_SYM[rd, char])
     if not sym:
-        raise _invalid(char)
+        raise _invalid(int(char))
     return sym, rd ^ int(ENC_FLIP[char])
 
 
-def decode_octet(sym: int, rd: int) -> tuple[int, bool, bool, bool, int]:
-    """Scalar decode; returns (octet, is_control, not_in_table, disparity_error, rd).
-    A symbol outside 0..0x3FF or a disparity not RD_NEG/RD_POS raises ValueError."""
+def decode_octet(sym: int, rd: int) -> tuple[int, int]:
+    """Decode one 10-bit symbol at the given running disparity; returns
+    ``(packed character, next rd)``.
+
+    Any symbol in 0..0x3FF decodes (others, or a bad disparity, raise
+    ValueError): out-of-table symbols decode to octet 0 with ``NIT_FLAG``,
+    disparity-rule violations set ``DERR_FLAG``, and the returned
+    disparity advances by the sign of the symbol's bit imbalance.
+    """
     check_range(np.asarray(sym), 0x3FF, "symbol")
     _check_rd(rd)
-    char, ones = int(DEC_CHAR[rd, sym]), POP10[sym]
-    return (char & 0xFF, bool(char & CTRL_FLAG), bool(char & NIT_FLAG),
-            bool(char & DERR_FLAG), rd if ones == 5 else int(ones > 5))
-
-
-def encode_char(c: Char, rd: int) -> tuple[int, int]:
-    """Encode one character at the given running disparity.
-
-    Returns ``(symbol, next_rd)``.  Control octets outside the K-code set
-    raise :class:`InvalidControlCode`; a bad octet or disparity, ValueError.
-    """
-    return encode_octet(c.octet, c.is_control, rd)
-
-
-def decode_symbol(sym: int, rd: int) -> tuple[Char, int]:
-    """Decode one 10-bit symbol at the given running disparity.
-
-    Any symbol in 0..0x3FF decodes (others, or a bad disparity, raise ValueError):
-    out-of-table symbols decode to octet 0 with ``not_in_table`` set,
-    and disparity-rule violations set ``disparity_error``.  The returned
-    disparity always advances by the sign of the symbol's bit imbalance.
-    """
-    octet, ctrl, nit, derr, rd_out = decode_octet(sym, rd)
-    return Char(octet, ctrl, nit, derr), rd_out
+    ones = POP10[sym]
+    return int(DEC_CHAR[rd, sym]), rd if ones == 5 else int(ones > 5)
 
 
 # ---------------------------------------------------------------------------

@@ -298,9 +298,15 @@ class IlasConfig:
         return cls(scr=int(cfg.scrambling), l=cfg.L - 1, f=cfg.F - 1,
                    k=cfg.K - 1, m=channels - 1)
 
-    def field_checksum(self) -> int:
-        """Checksum under the field-sum rule: sum of field values mod 256."""
-        return sum(getattr(self, name) for name in ILAS_FIELD_LAYOUT) % 256
+    def checksum(self, octets: Sequence[int], rule: str) -> int:
+        """Checksum octet of this image, whose wire octets are ``octets``,
+        under ``rule``: the octet sum (:func:`compute_fchk`) or the sum of
+        field values, mod 256."""
+        if rule == OCTET_SUM:
+            return compute_fchk(octets)
+        if rule == FIELD_SUM:
+            return sum(getattr(self, name) for name in ILAS_FIELD_LAYOUT) % 256
+        raise ValueError(f"unknown checksum rule {rule!r}")
 
     def pack(self, rule: str = OCTET_SUM) -> bytes:
         """Deterministic 14-octet image with the checksum in octet 13."""
@@ -310,12 +316,7 @@ class IlasConfig:
             if not (isinstance(value, int) and 0 <= value < (1 << width)):
                 raise FieldOverflow(name, value, width)
             octets[octet] |= value << shift
-        if rule == OCTET_SUM:
-            octets[13] = compute_fchk(octets[:13])
-        elif rule == FIELD_SUM:
-            octets[13] = self.field_checksum()
-        else:
-            raise ValueError(f"unknown checksum rule {rule!r}")
+        octets[13] = self.checksum(octets, rule)
         return bytes(octets)
 
     @classmethod
@@ -332,13 +333,7 @@ class IlasConfig:
         for name, (octet, shift, width) in ILAS_FIELD_LAYOUT.items():
             values[name] = (int(octets[octet]) >> shift) & ((1 << width) - 1)
         ic = cls(**values)
-        if rule == OCTET_SUM:
-            expected = compute_fchk(octets)
-        elif rule == FIELD_SUM:
-            expected = ic.field_checksum()
-        else:
-            raise ValueError(f"unknown checksum rule {rule!r}")
-        return ic, (int(octets[13]) & 0xFF) == expected
+        return ic, (int(octets[13]) & 0xFF) == ic.checksum(octets, rule)
 
     def matches_link(self, cfg: LinkConfig) -> bool:
         """Minimal validation: wire l/f/k/scr agree with the link config."""

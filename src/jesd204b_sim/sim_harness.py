@@ -370,8 +370,8 @@ class SegmentCheck:
 class Simulation:
     """One link end-to-end; create, then :meth:`run`.
 
-    After a run, ``output_segments`` holds the released output octets per
-    segment and lane (populated when ``collect_output`` is set), and
+    After a run, ``segments`` holds one :class:`SegmentCheck` per release
+    (its output octets per lane kept when ``collect_output`` is set), and
     ``received_symbols`` the post-impairment line symbols per lane (when
     ``collect_received`` is set).
     """
@@ -416,7 +416,7 @@ class Simulation:
                       for fill in self.fills]
         self._rd = [(codec.RD_NEG, codec.RD_NEG)] * lanes   # (encoder, decoder)
         flips = _BitErrors(self.channel, lanes)
-        segments: list[SegmentCheck] = []
+        self.segments = segments = []
         received: list[list[np.ndarray]] = [[] for _ in range(lanes)]
         flips_injected = flips_pre_release = 0
         fast_used = False
@@ -475,7 +475,7 @@ class Simulation:
                     received[lane].append(syms)
             t += done
 
-        return self._build_report(duration, fast_used, segments, t_data,
+        return self._build_report(duration, fast_used, t_data,
                                   flips_injected, flips_pre_release, received)
 
     def _advance(self, t0: int, n_cycles: int, sync: bool, flips: _BitErrors
@@ -519,19 +519,15 @@ class Simulation:
 
     # -- reporting -------------------------------------------------------------
 
-    def _build_report(self, duration: int, fast_used: bool,
-                      segments: list[SegmentCheck], t_data: int,
+    def _build_report(self, duration: int, fast_used: bool, t_data: int,
                       flips_injected: int, flips_pre_release: int,
                       received: list[list[np.ndarray]]) -> SimReport:
         cfg = self.cfg
         rx = self.rx
 
-        compared = sum(s.compared for s in segments)
-        mismatched = sum(s.mismatched for s in segments)
+        compared = sum(s.compared for s in self.segments)
+        mismatched = sum(s.mismatched for s in self.segments)
         payload_match = compared > 0 and mismatched == 0
-        self.output_segments = ([s.arrays() for s in segments]
-                                if self.collect_output else [])
-        self.segment_tx_starts = [s.m0 for s in segments]
 
         if self.collect_received:
             self.received_symbols = [np.concatenate(parts) for parts in received]

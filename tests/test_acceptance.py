@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from jesd204b_sim import scrambler as sc
-from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, POP10, RD_NEG, RD_POS,
-                                     Char, decode_symbol, encode_char,
+from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, CTRL_FLAG, POP10, RD_NEG,
+                                     RD_POS, decode_octet, encode_octet,
                                      encode_stream)
 from jesd204b_sim.config import LinkConfig
 from jesd204b_sim.sim_harness import (ChannelSpec, SysrefSpec,
@@ -34,14 +34,9 @@ def _ok(name: str, detail: str) -> None:
 def test_criterion_1_codec_roundtrip_and_disparity():
     t0 = time.perf_counter()
     for rd in (RD_NEG, RD_POS):
-        for octet in range(256):
-            sym, rd_out = encode_char(Char(octet), rd)
-            ch, rd_dec = decode_symbol(sym, rd)
-            assert ch == Char(octet) and rd_dec == rd_out
-        for octet in CONTROL_OCTETS.values():
-            sym, rd_out = encode_char(Char(octet, True), rd)
-            ch, rd_dec = decode_symbol(sym, rd)
-            assert ch == Char(octet, is_control=True) and rd_dec == rd_out
+        for char in [*range(256), *(CTRL_FLAG | k for k in CONTROL_OCTETS.values())]:
+            sym, rd_out = encode_octet(char, rd)
+            assert decode_octet(sym, rd) == (char, rd_out)
 
     rng = np.random.default_rng(1)
     chars = rng.integers(0, 256, 1_000_000).astype(np.uint16)

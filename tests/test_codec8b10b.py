@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, CTRL_FLAG, DERR_FLAG,
-                                     NIT_FLAG, RD_NEG, RD_POS, Char,
+                                     NIT_FLAG, RD_NEG, RD_POS,
                                      InvalidControlCode, NoCommaFound,
                                      bit_align, decode_octet, decode_stream,
-                                     decode_symbol, encode_char, encode_octet,
-                                     encode_stream, serialize)
+                                     encode_octet, encode_stream, serialize)
 
 K_CODES = sorted(CONTROL_OCTETS.values())
 K28_5 = CTRL_FLAG | 0xBC
@@ -35,28 +34,19 @@ class TestPublishedValues:
         (0x00, False, RD_POS, 0b0110001011),
     ])
     def test_encode(self, octet, ctrl, rd, expected):
-        sym, _ = encode_char(Char(octet, ctrl), rd)
+        sym, _ = encode_octet(octet | CTRL_FLAG * ctrl, rd)
         assert sym == expected
 
     def test_k28_5_decodes_as_control(self):
-        ch, rd = decode_symbol(0b0011111010, RD_NEG)
-        assert ch == Char(0xBC, is_control=True)
-        assert rd == RD_POS
+        assert decode_octet(0b0011111010, RD_NEG) == (K28_5, RD_POS)
 
 
 class TestRoundTrip:
     def test_exhaustive_all_codes_both_disparities(self):
         for rd in (RD_NEG, RD_POS):
-            for octet in range(256):
-                sym, rd_out = encode_char(Char(octet), rd)
-                ch, rd_dec = decode_symbol(sym, rd)
-                assert ch == Char(octet)
-                assert rd_dec == rd_out
-            for octet in K_CODES:
-                sym, rd_out = encode_char(Char(octet, True), rd)
-                ch, rd_dec = decode_symbol(sym, rd)
-                assert ch == Char(octet, is_control=True)
-                assert rd_dec == rd_out
+            for char in [*range(256), *(CTRL_FLAG | k for k in K_CODES)]:
+                sym, rd_out = encode_octet(char, rd)
+                assert decode_octet(sym, rd) == (char, rd_out)
 
     def test_rd_evolution_matches_symbol_imbalance(self):
         # The encoder's next disparity must equal what the symbol's own
@@ -65,7 +55,7 @@ class TestRoundTrip:
         for rd in (RD_NEG, RD_POS):
             for octet in list(range(256)) + K_CODES:
                 for is_ctrl in ({False, True} if octet in K_CODES else {False}):
-                    sym, rd_out = encode_char(Char(octet, is_ctrl), rd)
+                    sym, rd_out = encode_octet(octet | CTRL_FLAG * is_ctrl, rd)
                     d = disparity_oracle(sym)
                     assert d in (-2, 0, 2)
                     expected = rd if d == 0 else (RD_POS if d > 0 else RD_NEG)
@@ -74,7 +64,10 @@ class TestRoundTrip:
     def test_invalid_control_codes_rejected(self):
         for octet in (0xF7, 0xFB, 0xFD, 0xFE, 0x00, 0x3C, 0x5C, 0xDC):
             with pytest.raises(InvalidControlCode):
-                encode_char(Char(octet, is_control=True), RD_NEG)
+                encode_octet(CTRL_FLAG | octet, RD_NEG)
+        for char in (NIT_FLAG, 0x41 | DERR_FLAG, K28_5 | NIT_FLAG):   # flagged
+            with pytest.raises(InvalidControlCode):
+                encode_octet(char, RD_NEG)
 
 
 class TestDisparityBound:
@@ -84,7 +77,7 @@ class TestDisparityBound:
         rd = RD_NEG
         running = -1
         for octet in rng.integers(0, 256, 1000):
-            sym, rd = encode_char(Char(int(octet)), rd)
+            sym, rd = encode_octet(int(octet), rd)
             running += disparity_oracle(sym)
             assert running in (-1, +1)
             assert (running > 0) == (rd == RD_POS)
@@ -103,36 +96,34 @@ class TestErrorFlags:
     def test_all_zero_symbol_not_in_table(self):
         # Independent argument: every valid symbol is DC-constrained to
         # 4..6 ones, so the all-zeros pattern can never be in the table.
-        ch, _ = decode_symbol(0, RD_NEG)
-        assert ch.not_in_table and ch.octet == 0
+        assert decode_octet(0, RD_NEG)[0] == NIT_FLAG   # octet 0
 
     def test_imbalance_bound_implies_not_in_table(self):
         for sym in range(1024):
             if abs(disparity_oracle(sym)) > 2:
-                ch, _ = decode_symbol(sym, RD_NEG)
-                assert ch.not_in_table, format(sym, "010b")
+                char, _ = decode_octet(sym, RD_NEG)
+                assert char & NIT_FLAG, format(sym, "010b")
 
     def test_wrong_column_sets_disparity_error(self):
-        sym_neg, _ = encode_char(Char(0xBC, True), RD_NEG)
-        ch, _ = decode_symbol(sym_neg, RD_POS)
-        assert ch.disparity_error and ch.octet == 0xBC and ch.is_control
+        sym_neg, _ = encode_octet(K28_5, RD_NEG)
+        assert decode_octet(sym_neg, RD_POS)[0] == K28_5 | DERR_FLAG
 
     def test_flags_never_raise(self):
         rd = RD_NEG
         for sym in range(1024):
-            ch, rd = decode_symbol(sym, rd)
-            assert isinstance(ch, Char)
+            char, rd = decode_octet(sym, rd)
+            assert 0 <= char <= 0x7FF and rd in (RD_NEG, RD_POS)
 
     # The scalar forms reject what the stream forms reject, instead of
     # masking it into a valid symbol or octet.
     @pytest.mark.parametrize("call,args", [
-        (decode_symbol, (0x400 | 469, RD_NEG)),    # was data octet 0x41
+        (decode_octet, (0x400 | 469, RD_NEG)),     # was data octet 0x41
         (decode_octet, (-1, RD_NEG)),
-        (encode_char, (Char(0x141), RD_NEG)),      # was symbol 469
-        (encode_octet, (-0xBF, False, RD_NEG)),    # was symbol 469
-        (encode_octet, (0x1BC, True, RD_NEG)),
-    ], ids=["decode_symbol-0x5D5", "decode_octet--1", "encode_char-0x141",
-            "encode_octet--0xBF", "encode_octet-0x1BC"])
+        (encode_octet, (0x800 | 0x41, RD_NEG)),    # was symbol 469
+        (encode_octet, (-0xBF, RD_NEG)),
+        (encode_octet, (0x800 | K28_5, RD_NEG)),   # was K28.5
+    ], ids=["decode_octet-0x5D5", "decode_octet--1", "encode_octet-0x841",
+            "encode_octet--0xBF", "encode_octet-0x9BC"])
     def test_scalar_rejects_out_of_range(self, call, args):
         with pytest.raises(ValueError) as info:
             call(*args)
@@ -147,8 +138,7 @@ class TestStreamForms:
         syms, rd_enc = encode_stream(chars, RD_NEG)
         rd = RD_NEG
         for i in range(3000):
-            c = int(chars[i])
-            s, rd = encode_char(Char(c & 0xFF, bool(c & CTRL_FLAG)), rd)
+            s, rd = encode_octet(int(chars[i]), rd)
             assert s == syms[i]
         assert rd == rd_enc
 
@@ -157,8 +147,8 @@ class TestStreamForms:
         got, rd_dec = decode_stream(noisy, RD_NEG)
         rd = RD_NEG
         for i in range(3000):
-            ch, rd = decode_symbol(int(noisy[i]), rd)
-            assert packed(ch) == got[i]
+            char, rd = decode_octet(int(noisy[i]), rd)
+            assert char == got[i]
         assert rd == rd_dec
 
     def test_stream_rejects_bad_control(self):
@@ -193,16 +183,13 @@ class TestStreamForms:
     # A running disparity is RD_NEG or RD_POS; anything else is rejected
     # rather than indexing a table row or passing through unchanged.
     @pytest.mark.parametrize("call,args", [
-        (encode_octet, (0x41, False, -1)),         # gave (549, -2)
+        (encode_octet, (0x41, -1)),                # gave (549, -2)
         (decode_octet, (469, -1)),                 # decoded at RD_POS
-        (encode_char, (Char(0x41), -1)),
-        (decode_symbol, (469, -1)),
         (encode_stream, (np.zeros(0, np.uint16), 7)),   # returned rd=7
         (encode_stream, (np.array([0x41], np.uint16), 2)),
         (decode_stream, (np.zeros(0, np.uint16), 7)),
         (decode_stream, (np.array([469], np.uint16), -1)),
-    ], ids=["encode_octet", "decode_octet", "encode_char", "decode_symbol",
-            "encode_stream-empty", "encode_stream", "decode_stream-empty",
+    ], ids=["encode_octet", "decode_octet", "encode_stream-empty", "encode_stream", "decode_stream-empty",
             "decode_stream"])
     def test_rejects_disparity_other_than_neg_or_pos(self, call, args):
         with pytest.raises(ValueError, match="running disparity"):
@@ -216,26 +203,18 @@ class TestStreamForms:
             assert np.array_equal(decode_stream(syms.astype(dtype))[0], chars)
 
     def test_every_pair_matches_the_scalar_forms(self):
-        # Exhaustive: each (rd, character) encodes as encode_char does and
-        # each (rd, symbol) decodes as decode_symbol does, flags included,
+        # Exhaustive: each (rd, character) encodes as encode_octet does and
+        # each (rd, symbol) decodes as decode_octet does, flags included,
         # through one-element streams.
         chars = [*range(256), *(CTRL_FLAG | k for k in K_CODES)]
         assert len(chars) == 261
         for rd in (RD_NEG, RD_POS):
             for c in chars:
                 got = encode_stream(np.array([c], dtype=np.uint16), rd)
-                want = encode_char(Char(c & 0xFF, bool(c & CTRL_FLAG)), rd)
-                assert (int(got[0][0]), got[1]) == want
+                assert (int(got[0][0]), got[1]) == encode_octet(c, rd)
             for sym in range(1024):
                 got, rd_out = decode_stream(np.array([sym], dtype=np.uint16), rd)
-                ch, want_rd = decode_symbol(sym, rd)
-                assert (int(got[0]), rd_out) == (packed(ch), want_rd)
-
-
-def packed(ch: Char) -> int:
-    """A decoded :class:`Char` as the stream forms pack it."""
-    return (ch.octet | CTRL_FLAG * ch.is_control | NIT_FLAG * ch.not_in_table
-            | DERR_FLAG * ch.disparity_error)
+                assert (int(got[0]), rd_out) == decode_octet(sym, rd)
 
 
 # Comma patterns in transmission order, for the bit-level references.
@@ -366,17 +345,17 @@ class TestCommaUniqueness:
         comma_syms = set()
         for rd in (RD_NEG, RD_POS):
             for octet in (0xBC, 0xFC):
-                comma_syms.add(encode_char(Char(octet, True), rd)[0])
+                comma_syms.add(encode_octet(CTRL_FLAG | octet, rd)[0])
 
         def valid_symbols(rd):
             out = []
             for octet in range(256):
-                out.append((encode_char(Char(octet), rd)[0], False))
+                out.append((encode_octet(octet, rd)[0], False))
             for octet in K_CODES:
-                out.append((encode_char(Char(octet, True), rd)[0], octet == 0xFC))
+                out.append((encode_octet(CTRL_FLAG | octet, rd)[0], octet == 0xFC))
             return out
 
-        k28_7 = {encode_char(Char(0xFC, True), rd)[0] for rd in (0, 1)}
+        k28_7 = {encode_octet(CTRL_FLAG | 0xFC, rd)[0] for rd in (0, 1)}
         violations = []
         k287_false_commas = 0
         for rd in (RD_NEG, RD_POS):

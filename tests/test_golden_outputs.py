@@ -161,10 +161,10 @@ def _digest(sim, rep, collect):
     h = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     h.update("\n".join(rep.event_log).encode())
     if collect:
-        for seg in sim.output_segments:
-            for lane in seg:
+        for seg in sim.segments:
+            for lane in seg.arrays():
                 h.update(lane.tobytes())
-        h.update(repr(sim.segment_tx_starts).encode())
+        h.update(repr([seg.m0 for seg in sim.segments]).encode())
         for syms in sim.received_symbols:
             h.update(syms.tobytes())
     return h.hexdigest()

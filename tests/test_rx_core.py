@@ -21,7 +21,7 @@ K_PACKED = K_K | CTRL_FLAG
 
 
 class MiniLink:
-    """Char-level transmitter-to-receiver loop with a corruption hook."""
+    """Character-level transmitter-to-receiver loop with a corruption hook."""
 
     def __init__(self, cfg, skews=None, base_idle=32, ilas=None, payload=None,
                  rx=None, corrupt=None):

@@ -287,8 +287,8 @@ class TestFastPathEquivalence:
         d1.pop("fast_path_used")
         d2.pop("fast_path_used")
         assert d1 == d2
-        for seg_a, seg_b in zip(s_slow.output_segments, s_fast.output_segments):
-            for a, b in zip(seg_a, seg_b):
+        for seg_a, seg_b in zip(s_slow.segments, s_fast.segments):
+            for a, b in zip(seg_a.arrays(), seg_b.arrays()):
                 assert a.shape == b.shape and (a == b).all()
 
     def test_fast_path_spans_chunk_boundaries(self):
