@@ -231,9 +231,9 @@ def decode_octet(sym: int, rd: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # Stream (vectorized) forms on packed characters.  Disparity threading
-# reduces to a cumulative XOR of per-character flips on encode, and to a
-# "latest unbalanced symbol wins" scan on decode; both match the scalar
-# forms exactly.
+# reduces to a cumulative XOR of per-character flips on encode, and on
+# decode to a count of the unbalanced symbols so far (the latest one
+# sets the disparity); both match the scalar forms exactly.
 # ---------------------------------------------------------------------------
 
 def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]:
@@ -245,18 +245,18 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
     """
     _check_rd(rd)
     chars = np.asarray(chars)
-    n = chars.shape[0]
-    if n == 0:
+    if chars.shape[0] == 0:
         return np.zeros(0, dtype=np.uint16), rd
     check_range(chars, 0x7FF, "characters")
-    cum = np.bitwise_xor.accumulate(ENC_FLIP[chars])
-    rd_in = np.empty(n, dtype=np.uint8)
-    rd_in[0] = rd
-    rd_in[1:] = rd ^ cum[:-1]
+    flips = ENC_FLIP[chars]
+    rd_in = np.bitwise_xor.accumulate(flips)
+    rd_out = rd ^ int(rd_in[-1])
+    rd_in ^= flips      # the exclusive prefix: flips before each character
+    rd_in ^= rd
     syms = ENC_SYM[rd_in, chars]
     if not syms.all():
         raise _invalid(int(chars[syms == 0][0]))
-    return syms, int(rd ^ cum[-1])
+    return syms, rd_out
 
 
 def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]:
@@ -264,17 +264,19 @@ def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, in
     ValueError); returns (packed characters, final rd)."""
     _check_rd(rd)
     syms = np.asarray(symbols)
-    n = syms.shape[0]
-    if n == 0:
+    if syms.shape[0] == 0:
         return np.zeros(0, dtype=np.uint16), rd
     check_range(syms, 0x3FF, "symbols")
     ones = POP10[syms]
-    idx = np.maximum.accumulate(np.where(ones != 5, np.arange(n), -1))
-    rd_after = np.where(idx >= 0, ones[np.maximum(idx, 0)] > 5, bool(rd))
-    rd_in = np.empty(n, dtype=np.uint8)
-    rd_in[0] = rd
-    rd_in[1:] = rd_after[:-1]
-    return DEC_CHAR[rd_in, syms], int(rd_after[-1])
+    unbalanced = ones != 5
+    # The disparity after each unbalanced symbol, after the entry one...
+    after = np.empty(int(np.count_nonzero(unbalanced)) + 1, dtype=np.uint8)
+    after[0] = rd
+    after[1:] = np.compress(unbalanced, ones) > 5   # faster than ones[unbalanced]
+    # ...indexed by the number of unbalanced symbols before each symbol.
+    before = np.cumsum(unbalanced, dtype=np.int32)
+    before -= unbalanced
+    return DEC_CHAR[after[before], syms], int(after[-1])
 
 
 # ---------------------------------------------------------------------------

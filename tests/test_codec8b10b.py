@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, CTRL_FLAG, DERR_FLAG,
-                                     NIT_FLAG, RD_NEG, RD_POS,
+                                     NIT_FLAG, POP10, RD_NEG, RD_POS,
                                      InvalidControlCode, NoCommaFound,
                                      bit_align, decode_octet, decode_stream,
                                      encode_octet, encode_stream, serialize)
@@ -150,6 +150,36 @@ class TestStreamForms:
             char, rd = decode_octet(int(noisy[i]), rd)
             assert char == got[i]
         assert rd == rd_dec
+
+    # The stream forms thread the disparity from either entry value, also
+    # through balanced symbols (which leave it unchanged) and on one symbol.
+    @pytest.mark.parametrize("rd", [RD_NEG, RD_POS])
+    @pytest.mark.parametrize("kind", ["noisy", "all-balanced", "one-symbol"])
+    def test_stream_threads_disparity_like_scalar(self, kind, rd):
+        rng = np.random.default_rng(6)
+        chars = rng.integers(0, 256, 2000).astype(np.uint16)
+        chars[::37] = K28_5
+        syms, rd_enc = encode_stream(chars, rd)
+        want_rd = rd
+        for i, c in enumerate(chars.tolist()):
+            s, want_rd = encode_octet(c, want_rd)
+            assert s == syms[i]
+        assert rd_enc == want_rd
+
+        if kind == "noisy":
+            syms = syms ^ (rng.random(2000) < 0.05) * rng.integers(1, 1024, 2000)
+        elif kind == "all-balanced":
+            syms = rng.choice(np.flatnonzero(POP10 == 5), 2000)
+        else:
+            syms = syms[:1]
+        got, rd_dec = decode_stream(syms, rd)
+        want_rd = rd
+        for i, sym in enumerate(syms.tolist()):
+            char, want_rd = decode_octet(sym, want_rd)
+            assert char == got[i]
+        assert rd_dec == want_rd
+        if kind == "all-balanced":
+            assert rd_dec == rd
 
     def test_stream_rejects_bad_control(self):
         with pytest.raises(InvalidControlCode):
