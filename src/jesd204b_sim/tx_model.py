@@ -40,7 +40,7 @@ PAYLOAD_KINDS = ("ramp", "sine", "random")
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_PAYLOAD_BLOCK = 1 << 16   # octets generated per pass
+_PAYLOAD_BLOCK = 1 << 15   # samples generated per pass
 
 
 @dataclass
@@ -108,16 +108,16 @@ def lane_payload_octets(spec: PayloadSpec, lanes: int, lane: int,
     Sample j maps to lane ``j mod lanes``; each sample occupies two
     consecutive lane octets, high byte first.
     """
-    # Generated in fixed blocks: the 64-bit index and hash temporaries
-    # then stay small and are reused, instead of being faulted in afresh
-    # for every long chunk.
-    out = np.empty(count, dtype=np.uint8)
-    for lo in range(0, count, _PAYLOAD_BLOCK):
-        m = np.arange(start + lo, start + min(count, lo + _PAYLOAD_BLOCK),
+    # Each sample is generated once, into a big-endian array whose bytes
+    # are the lane octets; in fixed blocks, so the 64-bit index and hash
+    # temporaries stay small and are reused.
+    first = start >> 1
+    pairs = np.empty(((start + count + 1) >> 1) - first, dtype=">u2")
+    for lo in range(0, pairs.shape[0], _PAYLOAD_BLOCK):
+        j = np.arange(first + lo, first + min(pairs.shape[0], lo + _PAYLOAD_BLOCK),
                       dtype=np.int64)
-        samples = payload_samples(spec, lanes * (m >> 1) + lane)
-        out[lo: lo + m.shape[0]] = np.where(m & 1 == 0, samples >> 8, samples & 0xFF)
-    return out
+        pairs[lo: lo + j.shape[0]] = payload_samples(spec, lanes * j + lane)
+    return pairs.view(np.uint8)[start & 1: (start & 1) + count]
 
 
 def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[np.ndarray]:

@@ -8,8 +8,9 @@ import pytest
 from jesd204b_sim import scrambler
 from jesd204b_sim.codec8b10b import CTRL_FLAG, K_A, K_K, K_Q, K_R
 from jesd204b_sim.config import IlasConfig, LinkConfig
-from jesd204b_sim.tx_model import (PayloadSpec, TxLink, build_ilas,
-                                   lane_payload_octets, payload_samples)
+from jesd204b_sim.tx_model import (_PAYLOAD_BLOCK, PAYLOAD_KINDS, PayloadSpec,
+                                   TxLink, build_ilas, lane_payload_octets,
+                                   payload_samples)
 
 CFG = LinkConfig(L=2, F=4, K=32, scrambling=1)
 
@@ -195,6 +196,20 @@ class TestPayloadGenerators:
         # lane0 carries samples 0,2,4,6; lane1 carries 1,3,5,7
         assert lane0.tolist() == [0, 0, 0, 2, 0, 4, 0, 6]
         assert lane1.tolist() == [0, 1, 0, 3, 0, 5, 0, 7]
+
+    # Odd starts and counts, and spans that cross the generator's block.
+    @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+    @pytest.mark.parametrize("start,count", [
+        (0, 0), (5, 0), (7, 1), (3, 6), (1, 2 * _PAYLOAD_BLOCK + 5),
+        (2 * _PAYLOAD_BLOCK - 3, 10), (4 * _PAYLOAD_BLOCK, 2 * _PAYLOAD_BLOCK)])
+    def test_lane_octets_match_samples_octet_by_octet(self, kind, start, count):
+        pay = PayloadSpec(kind=kind, seed=9, channels=3, step=7, channel_offset=1000)
+        lanes, lane = 3, 2
+        m = np.arange(start, start + count)    # one sample per octet
+        sample = payload_samples(pay, lanes * (m // 2) + lane)
+        want = np.where(m % 2 == 0, sample >> 8, sample & 0xFF)
+        got = lane_payload_octets(pay, lanes, lane, start, count)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
