@@ -75,14 +75,15 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
     out: dict = {"sim": {}}
     if "payload" in sections:
         out["payload"] = PayloadSpec.from_dict(sections["payload"])
-    if "ilas" in sections:
-        # The section overrides fields of the image the transmitter derives.
-        check_keys("ilas", sections["ilas"], ILAS_FIELD_LAYOUT)
-        for name, value in sections["ilas"].items():
-            check_int(f"ilas.{name}", value, 0, (1 << ILAS_FIELD_LAYOUT[name][2]) - 1)
-        channels = out.get("payload", PayloadSpec()).channels
-        base = IlasConfig.from_link_config(cfg, channels=channels)
-        out["ilas"] = dataclasses.replace(base, **sections["ilas"])
+    # The image the transmitter sends and a strict receiver expects: derived
+    # from the link and payload.channels, the ilas section's fields over it.
+    overrides = sections.get("ilas", {})
+    check_keys("ilas", overrides, ILAS_FIELD_LAYOUT)
+    for name, value in overrides.items():
+        check_int(f"ilas.{name}", value, 0, (1 << ILAS_FIELD_LAYOUT[name][2]) - 1)
+    channels = out.get("payload", PayloadSpec()).channels
+    out["ilas"] = dataclasses.replace(IlasConfig.from_link_config(cfg, channels=channels),
+                                      **overrides)
     if "channel" in sections:
         out["channel"] = ChannelSpec.from_dict(sections["channel"])
     if "sysref" in sections:
@@ -117,7 +118,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _apply_seed(sections, args.seed)
     duration = (args.duration if args.duration is not None
                 else sections["sim"].get("duration_cycles", 4096))
-    sim = Simulation(cfg, sections.get("ilas"), sections.get("payload"),
+    sim = Simulation(cfg, sections["ilas"], sections.get("payload"),
                      sections.get("channel"), sections.get("sysref"),
                      collect_output=bool(args.dump_samples))
     report = sim.run(duration)
@@ -143,7 +144,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _apply_seed(sections, args.seed)
     duration = (args.cycles if args.cycles is not None
                 else sections["sim"].get("duration_cycles", 2048))
-    sim = Simulation(cfg, sections.get("ilas"), sections.get("payload"),
+    sim = Simulation(cfg, sections["ilas"], sections.get("payload"),
                      sections.get("channel"), sections.get("sysref"),
                      collect_received=True)
     sim.run(duration, fast=True)
@@ -174,9 +175,12 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
 
 
 def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
-                   payload: PayloadSpec | None = None
+                   payload: PayloadSpec | None = None,
+                   ilas: IlasConfig | None = None
                    ) -> tuple[RxReceiver, list[SegmentCheck]]:
-    """Replay a capture through the receiver as if live, with ``sysref``.
+    """Replay a capture through the receiver as if live, with ``sysref``,
+    expecting the configuration image ``ilas`` (required by the strict
+    ILAS policy, else ValueError).
 
     Returns the receiver and one segment per release, holding its output
     octets per lane.  With ``payload``, segment 0 is compared against
@@ -185,7 +189,7 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
     :class:`NoSyncAchieved` if group synchronization never completes.
     """
     cfg = cap.config
-    rx = RxReceiver(cfg)
+    rx = RxReceiver(cfg, expected_ilas=ilas)
     chars = _capture_chars(cap)
     segments: list[SegmentCheck] = []
 
@@ -205,16 +209,17 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.channels is not None:
         check_int("--channels", args.channels, 1)
     cap = read_capture(args.capture)
-    payload = sysref = None
+    payload = sysref = ilas = None
     channels = args.channels
     if args.config:
         _, sections = parse_config(args.config)
         payload = sections.get("payload")
         sysref = sections.get("sysref")
+        ilas = sections["ilas"]
         if payload is not None and channels is None:
             channels = payload.channels
     try:
-        rx, segments = decode_capture(cap, sysref=sysref, payload=payload)
+        rx, segments = decode_capture(cap, sysref=sysref, payload=payload, ilas=ilas)
     except NoSyncAchieved as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
@@ -285,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="replay a capture through the receiver")
     dec.add_argument("--capture", required=True)
     dec.add_argument("--config", default=None,
-                     help="optional config supplying the payload oracle")
+                     help="optional config supplying the payload oracle, SYSREF "
+                          "and the expected ILAS image (needed for ilas_policy strict)")
     dec.add_argument("--channels", type=int, default=None)
     dec.add_argument("--dump-samples", default=None)
     dec.add_argument("--report", default=None)

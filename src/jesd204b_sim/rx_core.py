@@ -124,10 +124,17 @@ _R_CLEAN = K_R | CTRL_FLAG
 
 
 class RxReceiver:
-    """One link's receiver.  See the module docstring for the model."""
+    """One link's receiver.  See the module docstring for the model.
+
+    The strict ILAS policy compares each lane's configuration image with
+    ``expected_ilas`` (lane ids counting up from its ``lid``) and needs it.
+    """
 
     def __init__(self, cfg: LinkConfig, expected_ilas: IlasConfig | None = None):
         validate_config(cfg)
+        if cfg.ilas_policy == POLICY_STRICT and expected_ilas is None:
+            raise ValueError("ilas_policy 'strict' needs an expected ILAS image "
+                             "(decode: pass --config)")
         self.cfg = cfg
         self.expected_ilas = expected_ilas
         # One (mask, want) rule per alignment-sequence position: octet v
@@ -359,7 +366,7 @@ class RxReceiver:
         cfg = self.cfg
         ic, checksum_ok = IlasConfig.unpack(lane.cfg_octets, cfg.fchk_rule)
         config_ok = checksum_ok
-        if cfg.ilas_policy == POLICY_STRICT and self.expected_ilas is not None:
+        if cfg.ilas_policy == POLICY_STRICT:
             expected = dataclasses.replace(
                 self.expected_ilas, lid=(self.expected_ilas.lid + lane.idx) & 0x1F)
             config_ok = config_ok and ic == expected

@@ -236,6 +236,19 @@ class TestGenDecodeRoundTrip:
         assert live_release > 0
         assert json.loads(dec.read_text())["release_cycle"] == live_release
 
+    def test_strict_replay_checks_the_config_image(self, config_path, tmp_path):
+        # A strict capture replays against the image --config describes,
+        # and without --config there is no image to check it against.
+        strict = {"ilas_policy": "strict"}
+        cap = tmp_path / "cap.txt"
+        assert main(["gen", "--config", config_path(strict, ilas={"did": 5}),
+                     "--out", str(cap), "--cycles", "1200"]) == EXIT_OK
+        assert main(["decode", "--capture", str(cap), "--config",
+                     config_path(strict, ilas={"did": 5})]) == EXIT_OK
+        assert main(["decode", "--capture", str(cap), "--config",
+                     config_path(strict, ilas={"did": 9, "m": 7})]) == EXIT_PROTOCOL
+        assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
+
     def test_decode_leaves_the_callers_sysref_alone(self, config_path, tmp_path):
         from jesd204b_sim.cli import decode_capture
         from jesd204b_sim.sim_harness import SysrefSpec

@@ -109,7 +109,7 @@ def test_stepped_fast_and_replay_agree(index):
     if not clean or fast_report["t_release"] < 0:
         return
     cap = Capture(FORMAT_SYMBOL10, cfg, 0, symbols=fast.received_symbols)
-    rx, segments = decode_capture(cap, sysref=sysref)
+    rx, segments = decode_capture(cap, sysref=sysref, ilas=fast.tx.ilas_base)
     assert rx.t_release == fast_report["t_release"]
     assert len(segments) == len(fast.segments)
     for got, want in zip(segments, fast.segments):

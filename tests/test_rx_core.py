@@ -327,6 +327,12 @@ class TestIlasCapture:
         assert rx.error_counts["config_mismatch"] >= 1
 
 
+    def test_strict_policy_needs_an_expected_image(self):
+        cfg = dataclasses.replace(CFG, ilas_policy=POLICY_STRICT)
+        with pytest.raises(ValueError, match="strict"):
+            RxReceiver(cfg)
+
+
 class TestFaultPaths:
     def _synced_link(self, **kw):
         link = MiniLink(CFG, **kw)
