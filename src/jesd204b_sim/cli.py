@@ -178,9 +178,8 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
                    payload: PayloadSpec | None = None,
                    ilas: IlasConfig | None = None
                    ) -> tuple[RxReceiver, list[SegmentCheck]]:
-    """Replay a capture through the receiver as if live, with ``sysref``,
-    expecting the configuration image ``ilas`` (required by the strict
-    ILAS policy, else ValueError).
+    """Replay a capture through the receiver as if live, with ``sysref``
+    and the expected image ``ilas`` (which the strict ILAS policy needs).
 
     Returns the receiver and one segment per release, holding its output
     octets per lane.  With ``payload``, segment 0 is compared against
@@ -209,24 +208,19 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.channels is not None:
         check_int("--channels", args.channels, 1)
     cap = read_capture(args.capture)
-    payload = sysref = ilas = None
-    channels = args.channels
-    if args.config:
-        _, sections = parse_config(args.config)
-        payload = sections.get("payload")
-        sysref = sections.get("sysref")
-        ilas = sections["ilas"]
-        if payload is not None and channels is None:
-            channels = payload.channels
+    sections = parse_config(args.config)[1] if args.config else {}
+    payload = sections.get("payload")
     try:
-        rx, segments = decode_capture(cap, sysref=sysref, payload=payload, ilas=ilas)
+        rx, segments = decode_capture(cap, sections.get("sysref"), payload,
+                                      sections.get("ilas"))
     except NoSyncAchieved as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     total = cap.config.L * sum(seg.off for seg in segments)
     mismatched = segments[0].mismatched if payload is not None and segments else -1
     if args.dump_samples and segments:
-        rows = sample_rows(segments[0].arrays(), cap.config.L, channels or 1)
+        channels = args.channels or (payload.channels if payload else 1)
+        rows = sample_rows(segments[0].arrays(), cap.config.L, channels)
         write_sample_csv(args.dump_samples, rows)
     _write_json(args.report, {
         "sync_cycle": rx.t_synced,
@@ -290,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="replay a capture through the receiver")
     dec.add_argument("--capture", required=True)
     dec.add_argument("--config", default=None,
-                     help="optional config supplying the payload oracle, SYSREF "
-                          "and the expected ILAS image (needed for ilas_policy strict)")
+                     help="config supplying the payload oracle, SYSREF and the "
+                          "expected ILAS image (which ilas_policy strict needs)")
     dec.add_argument("--channels", type=int, default=None)
     dec.add_argument("--dump-samples", default=None)
     dec.add_argument("--report", default=None)

@@ -124,17 +124,13 @@ _R_CLEAN = K_R | CTRL_FLAG
 
 
 class RxReceiver:
-    """One link's receiver.  See the module docstring for the model.
-
-    The strict ILAS policy compares each lane's configuration image with
-    ``expected_ilas`` (lane ids counting up from its ``lid``) and needs it.
-    """
+    """One link's receiver; the strict ILAS policy needs ``expected_ilas``.
+    See the module docstring for the model."""
 
     def __init__(self, cfg: LinkConfig, expected_ilas: IlasConfig | None = None):
         validate_config(cfg)
         if cfg.ilas_policy == POLICY_STRICT and expected_ilas is None:
-            raise ValueError("ilas_policy 'strict' needs an expected ILAS image "
-                             "(decode: pass --config)")
+            raise ValueError("ilas_policy 'strict' needs an expected_ilas image")
         self.cfg = cfg
         self.expected_ilas = expected_ilas
         # One (mask, want) rule per alignment-sequence position: octet v

@@ -18,6 +18,13 @@ others import it, so a constant cannot drift between two definitions.
 No module reaches for another module's private (underscore) names, by
 import or through an imported name; what crosses a module boundary is
 public.
+
+Every top-level function and class in the package, and every method of
+a top-level class (dunder methods aside), is referenced somewhere in
+``src/``, ``tests/``, ``demos/`` or ``bench/``: read as a name or an
+attribute, or named in a string (as ``getattr`` targets are).  Imports
+and ``__all__`` entries do not count, so a form that is deleted from
+every caller cannot linger behind its export.
 """
 
 import ast
@@ -26,8 +33,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jesd204b_sim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jesd204b_sim"
 MODULES = sorted(PACKAGE.glob("*.py"))
+USERS = sorted(p for d in ("src", "tests", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -218,3 +227,75 @@ def test_check_flags_what_it_should():
         "x: np.ndarray = b",
     ])
     assert unused_imports(source) == ["line 2: json"]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_definitions(definitions: dict[str, str], users: list[str]) -> list[str]:
+    """Top-level functions and classes, and methods of top-level classes,
+    defined in ``definitions`` (module name -> text) that none of ``users``
+    (source texts) references, as ``module line n: name``."""
+    defined = []
+    for module, text in definitions.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, m) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not _dunder(m.name)]
+    referenced: set[str] = set()
+    for text in users:
+        tree = ast.parse(text)
+        exports = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                   for n in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exports):
+                referenced.add(node.value)
+    return [f"{module} line {node.lineno}: {node.name}" for module, node in defined
+            if node.name not in referenced]
+
+
+def test_every_definition_is_referenced():
+    definitions = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    users = [path.read_text(encoding="utf-8") for path in USERS]
+    assert unreferenced_definitions(definitions, users) == []
+
+
+def test_reference_check_flags_what_it_should():
+    lib = "\n".join([
+        "from .other import helper",
+        "__all__ = ['Old', 'old_form', 'used']",
+        "def used(x):",
+        "    return helper(x)",
+        "def old_form(x):",
+        "    return x",
+        "def looked_up():",
+        "    pass",
+        "class Old:",
+        "    def __init__(self):",
+        "        self.n = 0",
+        "    def method(self):",
+        "        return self.n",
+        "    def called(self):",
+        "        return self.method",
+        "class Kept:",
+        "    pass",
+    ])
+    caller = "\n".join([
+        "from lib import Kept, old_form, used",
+        "import lib",
+        "used(Kept())",
+        "getattr(lib, 'looked_up')",
+        "used(1).called",
+    ])
+    assert unreferenced_definitions({"lib.py": lib}, [lib, caller]) == [
+        "lib.py line 5: old_form", "lib.py line 9: Old"]
