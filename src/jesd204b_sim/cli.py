@@ -26,7 +26,7 @@ from .config import (ILAS_FIELD_LAYOUT, IlasConfig, LinkConfig, ParseError,
                      check_int, check_keys, validate_config)
 from .rx_core import RxReceiver
 from .sim_harness import (ChannelSpec, SegmentCheck, Simulation, SysrefSpec,
-                          drive_receiver, measure_latency_determinism)
+                          measure_latency_determinism)
 from .tx_model import PayloadSpec
 
 EXIT_OK = 0
@@ -189,14 +189,12 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
     """
     cfg = cap.config
     rx = RxReceiver(cfg, expected_ilas=ilas)
-    chars = _capture_chars(cap)
-    segments: list[SegmentCheck] = []
-
-    def on_release(cycle: int) -> None:
+    n_cycles, _, outputs = rx.receive(_capture_chars(cap), sysref or SysrefSpec())
+    segments = []
+    for _, pieces in outputs:   # a fresh receiver: every segment has its release
         segments.append(SegmentCheck(None if segments else payload, cfg.L, 0, True))
-
-    n_cycles, _ = drive_receiver(rx, chars, sysref or SysrefSpec(), on_release,
-                                 lambda outs: segments[-1].absorb(outs))
+        for outs in pieces:
+            segments[-1].absorb(outs)
     if rx.t_synced < 0:
         raise NoSyncAchieved(
             f"no synchronization within {n_cycles} captured cycles "

@@ -22,8 +22,9 @@ counter afterwards; crossing the configured threshold, seeing a control
 character in the data phase, or overflowing an elastic buffer re-enters
 CGS with the sync request asserted.
 
-For flag-free stretches of a released link :meth:`RxReceiver.fast_forward`
-consumes packed character arrays in one vectorized pass, leaving the
+:meth:`RxReceiver.receive` drives the receiver over packed character
+arrays: flag-free stretches of a released link go through
+:meth:`RxReceiver.fast_forward` in one vectorized pass, leaving the
 receiver exactly as repeated :meth:`~RxReceiver.step_packed` calls would
 (the test suite asserts the equivalence).
 """
@@ -60,6 +61,8 @@ _CAPTURE = 2
 _DATA = 3
 
 _FLAGS = NIT_FLAG | DERR_FLAG
+# Flag bits of four packed characters viewed as one 64-bit word.
+_CYCLE_FLAGS = np.uint64(0xFF00_FF00_FF00_FF00)
 
 
 class Lmfc:
@@ -171,6 +174,76 @@ class RxReceiver:
         self.release_lmfc_phase = -1
 
     # -- public stepping ----------------------------------------------------
+
+    def receive(self, chars: list[np.ndarray], sysref, fast: bool = True,
+                stop_on_sync_change: bool = False) -> tuple[int, int, list]:
+        """Feed ``chars[l]``, lane l's packed characters (octet | flags),
+        four per lane per cycle, numbered by the receiver's clock, which
+        places the pulses of ``sysref`` (a :class:`.sim_harness.SysrefSpec`).
+
+        With ``fast``, each flag-free span of a released link goes through
+        :meth:`fast_forward`.  Everything else steps, which establishes
+        that method's precondition: bring-up, each flagged cycle and the
+        cycle after it (a flagged octet can wait one cycle in a lane's
+        rotation residue), and the call's first cycle (the residue may
+        hold a flagged octet from the previous call).  With
+        ``stop_on_sync_change`` the call returns right after the cycle on
+        which the sync request changes.
+
+        Returns ``(cycles consumed, cycles fast-forwarded, segments)``,
+        the output as ``(release cycle, pieces)`` per segment (cycle -1 for
+        the one open when the call began), each piece one equal-length
+        uint8 array per lane.
+        """
+        n = chars[0].shape[0] // OCTETS_PER_CYCLE
+        fk = self.cfg.fk
+        flagged = np.zeros(n, dtype=bool)
+        for lane in chars:
+            flagged |= (lane[:OCTETS_PER_CYCLE * n].view(np.uint64) & _CYCLE_FLAGS) != 0
+        must_step = flagged.copy()
+        must_step[1:] |= flagged[:-1]
+        must_step[:1] = True
+        step_at = np.flatnonzero(must_step)
+
+        sync_before = self.sync_request
+        segments = [(-1, [])] if self.released else []
+        stepped_out: list[list[int]] = [[] for _ in chars]
+
+        def flush() -> None:
+            if stepped_out[0]:
+                segments[-1][1].append([np.array(w, dtype=np.uint8) for w in stepped_out])
+                for words in stepped_out:
+                    words.clear()
+
+        i = fast_cycles = 0
+        while i < n:
+            if fast and self.released and not must_step[i]:
+                k = int(np.searchsorted(step_at, i))
+                j = int(step_at[k]) if k < step_at.shape[0] else n
+                flush()
+                segments[-1][1].append(self.fast_forward(
+                    [lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * j] for lane in chars],
+                    j - i))
+                fast_cycles += j - i
+                i = j
+                continue
+            cycle = self.cycle + 1
+            was_released = self.released
+            words = [tuple(lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * (i + 1)].tolist())
+                     for lane in chars]
+            out = self.step_packed(words, sysref.pulse(cycle, fk))
+            if self.released != was_released:
+                flush()
+                if self.released:
+                    segments.append((cycle, []))
+            if out is not None:
+                for acc, word in zip(stepped_out, out):
+                    acc.extend(word)
+            i += 1
+            if stop_on_sync_change and self.sync_request != sync_before:
+                break
+        flush()
+        return i, fast_cycles, segments
 
     def step_packed(self, words: Sequence[tuple[int, int, int, int]],
                     sysref: bool = False

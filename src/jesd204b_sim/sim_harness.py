@@ -22,11 +22,11 @@ there.
 
 The link runs in bounded chunks of cycles, so memory stays flat however
 long the run.  Within a chunk the sync request is held, the transmitter,
-channel and codec run vectorized, and :func:`drive_receiver` feeds the
-decoded characters to the receiver: flag-free stretches of a released
-link through its vectorized fast path (``fast=True``), everything else
-cycle by cycle.  When the receiver changes its sync request the chunk
-is cut there, and the transmitter, both running disparities and the
+channel and codec run vectorized, and :meth:`.RxReceiver.receive`
+takes the decoded characters: flag-free stretches of a released link
+through its vectorized fast path (``fast=True``), everything else cycle
+by cycle.  When the receiver changes its sync request the chunk is cut
+there, and the transmitter, both running disparities and the
 line are rewound to that cycle.  Bit errors depend only on the seed,
 lane and cycle, so a rewind never redraws them.  The test suite asserts
 that stepped, fast and replayed runs agree byte for byte.
@@ -38,7 +38,6 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,8 +55,6 @@ BITS_PER_CYCLE = 40
 _TAIL_CHUNK_CYCLES = 1 << 18   # largest chunk; bounds peak memory
 _FIRST_CHUNK_CYCLES = 64       # chunk length after each sync-request change
 _FLIP_DRAW_CYCLES = 1 << 14    # cycles of bit-error draws per generator call
-# Flag bits of four packed characters viewed as one 64-bit word.
-_CYCLE_FLAGS = np.uint64(0xFF00_FF00_FF00_FF00)
 
 
 class SimConfigError(ValueError):
@@ -259,81 +256,6 @@ class _BitErrors:
         return p[: np.searchsorted(p, hi)]
 
 
-def drive_receiver(rx: RxReceiver, chars: list[np.ndarray], sysref: SysrefSpec,
-                   on_release: Callable[[int], None],
-                   on_output: Callable[[list[np.ndarray]], None],
-                   fast: bool = True, stop_on_sync_change: bool = False,
-                   ) -> tuple[int, int]:
-    """Feed packed characters to ``rx``, four per lane per cycle.
-
-    ``chars[l]`` holds lane l's next decoded characters as the packed
-    uint16 values of :mod:`.codec8b10b` (octet | flags); cycles are
-    numbered by the receiver's own clock, which also places the SYSREF
-    pulses.  With ``fast``, every flag-free span of a released,
-    synchronized link goes through :meth:`RxReceiver.fast_forward`.
-    Everything else steps, which establishes that method's precondition:
-    bring-up, each flagged cycle and the cycle after it (a flagged octet
-    can wait one cycle in a lane's rotation residue), and the first cycle
-    of the call (the residue may hold a flagged octet from the previous
-    call).
-
-    Released output is reported in order: ``on_release(cycle)`` opens an
-    output segment, ``on_output(per-lane octets)`` appends to the open
-    one; every lane's array has the same, nonzero length.  With
-    ``stop_on_sync_change`` the call returns right after the cycle on
-    which the receiver's sync request changes.  Returns
-    ``(cycles consumed, cycles fast-forwarded)``.
-    """
-    n = chars[0].shape[0] // OCTETS_PER_CYCLE
-    fk = rx.cfg.fk
-    flagged = np.zeros(n, dtype=bool)
-    for lane in chars:
-        flagged |= (lane[:OCTETS_PER_CYCLE * n].view(np.uint64) & _CYCLE_FLAGS) != 0
-    must_step = flagged.copy()
-    must_step[1:] |= flagged[:-1]
-    must_step[:1] = True
-    step_at = np.flatnonzero(must_step)
-
-    sync_before = rx.sync_request
-    stepped_out: list[list[int]] = [[] for _ in chars]
-
-    def flush() -> None:
-        if stepped_out[0]:
-            on_output([np.array(words, dtype=np.uint8) for words in stepped_out])
-            for words in stepped_out:
-                words.clear()
-
-    i = fast_cycles = 0
-    while i < n:
-        if fast and rx.released and not must_step[i]:
-            k = int(np.searchsorted(step_at, i))
-            j = int(step_at[k]) if k < step_at.shape[0] else n
-            flush()
-            on_output(rx.fast_forward(
-                [lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * j] for lane in chars],
-                j - i))
-            fast_cycles += j - i
-            i = j
-            continue
-        cycle = rx.cycle + 1
-        was_released = rx.released
-        words = [tuple(lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * (i + 1)].tolist())
-                 for lane in chars]
-        out = rx.step_packed(words, sysref.pulse(cycle, fk))
-        if rx.released != was_released:
-            flush()
-            if rx.released:
-                on_release(cycle)
-        if out is not None:
-            for acc, word in zip(stepped_out, out):
-                acc.extend(word)
-        i += 1
-        if stop_on_sync_change and rx.sync_request != sync_before:
-            break
-    flush()
-    return i, fast_cycles
-
-
 class SegmentCheck:
     """One output segment, compared as it arrives against the generator
     from lane octet ``m0`` (unless ``payload`` is None), kept if ``store``.
@@ -420,36 +342,28 @@ class Simulation:
         received: list[list[np.ndarray]] = [[] for _ in range(lanes)]
         flips_injected = flips_pre_release = 0
         fast_used = False
-        release_cycle = t_data = -1
-
-        def on_release(cycle: int) -> None:
-            nonlocal release_cycle, t_data
-            release_cycle = cycle
-            m0, data_cycle = tx.data_segments[-1]
-            if not segments:
-                t_data = data_cycle
-            segments.append(SegmentCheck(self.payload, lanes, m0, self.collect_output))
-
-        # A segment closes only on a fault, which ends the chunk, so all of
-        # a chunk's output belongs to the segment open at its end; it is
-        # checked once the chunk's input arrays are freed.
-        outputs: list[list[np.ndarray]] = []
+        t_data = -1
 
         t, chunk = 0, _FIRST_CHUNK_CYCLES
         while t < duration:
             n = min(chunk, duration - t)
             sync = rx.sync_request
             released = rx.released
-            release_cycle = -1
             state = (tx.snapshot(), self._line, self._rd)
             chars, line, lane_flips = self._advance(t, n, sync, flips)
-            done, fast_cycles = drive_receiver(rx, chars, self.sysref, on_release,
-                                               outputs.append, fast,
-                                               stop_on_sync_change=True)
+            done, fast_cycles, outputs = rx.receive(chars, self.sysref, fast,
+                                                    stop_on_sync_change=True)
+            # Output is checked once the chunk's input arrays are freed.
             del chars
-            for outs in outputs:
-                segments[-1].absorb(outs)
-            outputs.clear()
+            for cycle, pieces in outputs:
+                if cycle >= 0:
+                    m0, data_cycle = tx.data_segments[-1]
+                    if not segments:
+                        t_data = data_cycle
+                    segments.append(SegmentCheck(self.payload, lanes, m0,
+                                                 self.collect_output))
+                for outs in pieces:
+                    segments[-1].absorb(outs)
             fast_used = fast_used or fast_cycles > 0
             if done < n:
                 # The sync request changed: the cycles after the change were
@@ -462,10 +376,10 @@ class Simulation:
                 chunk = min(2 * chunk, _TAIL_CHUNK_CYCLES)
 
             # A flip is pre-release when the link was not released entering
-            # its cycle; unrelease always changes the sync request, so it
-            # can only happen on the chunk's last cycle.
-            pre_release = 0 if released else (release_cycle + 1 - t
-                                              if release_cycle >= 0 else done)
+            # its cycle (a chunk's first segment opens at its release); an
+            # unrelease changes the sync request, so it ends the chunk.
+            pre_release = 0 if released else (outputs[0][0] + 1 - t
+                                              if outputs else done)
             for pos in lane_flips:
                 flips_injected += pos.shape[0]
                 flips_pre_release += int(np.count_nonzero(
