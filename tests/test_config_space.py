@@ -12,8 +12,9 @@ whose errors are flagged only at a later unbalanced symbol let corrupted
 octets out before the threshold trips, which is what a threshold is for.
 
 Agreement: on a fixed subset, the stepped and fast runs give the same
-report and output.  Deterministic latency across skews is not asserted
-here: it does not hold yet for every pair.
+report and output; for each F, a capture of a clean run replays to the
+live run's release cycle and output.  Deterministic latency across
+skews is not asserted here: it does not hold yet for every pair.
 """
 
 import dataclasses
@@ -21,12 +22,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from jesd204b_sim.captures import FORMAT_SYMBOL10, Capture
+from jesd204b_sim.cli import decode_capture
 from jesd204b_sim.config import LinkConfig, check_config
-from jesd204b_sim.sim_harness import ChannelSpec, Simulation
+from jesd204b_sim.sim_harness import ChannelSpec, Simulation, SysrefSpec
 from jesd204b_sim.tx_model import PayloadSpec
 
 PAIRS = [(F, K) for F in range(4, 33, 4) for K in range(1, 33)
          if not check_config(LinkConfig(L=2, F=F, K=K))]
+
+
+def _release_bound(fk):
+    """A bound on the first release at skews 0 and F*K/2: SYSREF at cycle
+    8, the idle fill and the skew, then CGS, the four alignment
+    multiframes and the release phase, which fit in seven multiframes."""
+    return 8 + (32 + fk // 2) // 4 + 7 * fk // 4 + 32
 
 
 def _burst_run(L, F, K, fast=True, collect_output=False):
@@ -34,10 +44,7 @@ def _burst_run(L, F, K, fast=True, collect_output=False):
     burst cycle)."""
     cfg = LinkConfig(L=L, F=F, K=K, error_threshold=1)
     fk = F * K
-    # A bound on the first release: SYSREF at cycle 8, the idle fill and
-    # the skew, then CGS, the four alignment multiframes and the release
-    # phase, which fit in seven multiframes.
-    burst = 8 + (32 + fk // 2) // 4 + 7 * fk // 4 + 32
+    burst = _release_bound(fk)
     channel = ChannelSpec(skew=[0, fk // 2][-L:], error_positions=[(0, 40 * burst + 3)])
     sim = Simulation(cfg, payload=PayloadSpec(seed=64 * F + K), channel=channel,
                      collect_output=collect_output)
@@ -77,4 +84,20 @@ def test_stepped_and_fast_agree(L, F, K):
     assert reports[0] == reports[1]
     assert [s.m0 for s in stepped.segments] == [s.m0 for s in fast.segments]
     for a, b in zip(stepped.segments, fast.segments):
+        assert all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+
+
+@pytest.mark.parametrize("F", range(4, 33, 4))
+def test_replay_of_one_capture_per_F(F):
+    K = max(k for f, k in PAIRS if f == F and f * k <= 256)
+    cfg, fk = LinkConfig(L=2, F=F, K=K), F * K
+    sim = Simulation(cfg, payload=PayloadSpec(seed=64 * F + K),
+                     channel=ChannelSpec(skew=[0, fk // 2]),
+                     collect_output=True, collect_received=True)
+    rep = sim.run(_release_bound(fk) + 64)
+    cap = Capture(FORMAT_SYMBOL10, cfg, 0, symbols=sim.received_symbols)
+    rx, segments = decode_capture(cap, SysrefSpec(), ilas=sim.tx.ilas_base)
+    assert rep.t_release > 0 and rx.t_release == rep.t_release
+    assert len(segments) == len(sim.segments) == 1 and segments[0].off > 0
+    for a, b in zip(segments, sim.segments):
         assert all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))

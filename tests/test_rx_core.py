@@ -2,7 +2,8 @@
 
 These tests drive the receiver at character level (no line coding) so
 every scenario is constructed exactly; the codec path is covered by the
-end-to-end harness tests.
+end-to-end harness tests.  ``TestReceive`` replays a harness run's line
+to place one flag exactly.
 """
 
 import dataclasses
@@ -10,9 +11,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jesd204b_sim.codec8b10b import CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R, NIT_FLAG
+from jesd204b_sim.codec8b10b import (CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R,
+                                     NIT_FLAG, RD_NEG, decode_stream)
 from jesd204b_sim.config import POLICY_STRICT, IlasConfig, LinkConfig
 from jesd204b_sim.rx_core import _DATA, Lmfc, RxFsm, RxReceiver
+from jesd204b_sim.sim_harness import ChannelSpec, Simulation, SysrefSpec
 from jesd204b_sim.tx_model import PayloadSpec, TxLink, lane_payload_octets
 
 CFG = LinkConfig(L=2, F=4, K=32, scrambling=1)
@@ -439,3 +442,49 @@ class TestFsmSafety:
                         assert all(l.mode == _DATA for l in rx.lanes)
                         assert all(l.rotation is not None for l in rx.lanes)
                     prev = rx.fsm
+
+
+class TestReceive:
+    """``RxReceiver.receive`` steps every cycle whose input, or whose
+    octets waiting in a lane's rotation residue, carry a flag."""
+
+    @staticmethod
+    def _receive(cfg, image, chars, fast, split=None):
+        """Replay ``chars`` in one call, or in two split after cycle
+        ``split - 1``; returns the receiver and its output per segment."""
+        rx = RxReceiver(cfg, expected_ilas=image)
+        parts = [chars] if split is None else [[c[:4 * split] for c in chars],
+                                               [c[4 * split:] for c in chars]]
+        segments = []
+        for part in parts:
+            for cycle, pieces in rx.receive(part, SysrefSpec(), fast=fast)[2]:
+                if cycle >= 0:
+                    segments.append((cycle, []))
+                segments[-1][1].extend(pieces)
+        return rx, [(cycle, [np.concatenate([p[lane] for p in pieces])
+                             for lane in range(cfg.L)])
+                    for cycle, pieces in segments]
+
+    def test_a_flag_in_the_rotation_residue_steps(self):
+        # Bit 9305 of lane 1 is bit 5 of character 2 of cycle 232, after
+        # release.  Lane 1's rotation is 2, so the control character it
+        # decodes to waits in the residue into cycle 233: the fast path
+        # must step that cycle, in one call and when a call starts there.
+        cfg = LinkConfig(L=2, F=4, K=32)
+        sim = Simulation(cfg, payload=PayloadSpec(kind="random", seed=5),
+                         channel=ChannelSpec(skew=[5, 38], error_positions=[(1, 9305)]),
+                         collect_received=True)
+        sim.run(600, fast=False)
+        chars = [decode_stream(syms, RD_NEG)[0] for syms in sim.received_symbols]
+        assert chars[1][4 * 232 + 2] & CTRL_FLAG
+        ref, ref_out = self._receive(cfg, sim.tx.ilas_base, chars, fast=False)
+        assert ref.error_counts["control_in_data"] == 1
+        assert [lane.rotation for lane in ref.lanes] == [1, 2]
+        assert [cycle for cycle, _ in ref_out] == [230, 486]
+        for split in (None, 233):
+            rx, out = self._receive(cfg, sim.tx.ilas_base, chars, True, split)
+            assert rx.error_counts == ref.error_counts
+            assert rx.events == ref.events
+            assert [c for c, _ in out] == [c for c, _ in ref_out]
+            for (_, got), (_, want) in zip(out, ref_out):
+                assert all((g == w).all() for g, w in zip(got, want))
