@@ -206,7 +206,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.channels is not None:
         check_int("--channels", args.channels, 1)
     cap = read_capture(args.capture)
-    sections = parse_config(args.config)[1] if args.config else {}
+    sections = {}
+    if args.config:   # the config's link, not the capture header's
+        cfg, sections = parse_config(args.config)
+        if cfg.L != cap.config.L:
+            raise ParseError(f"the capture has {cap.config.L} lanes but the config has L={cfg.L}")
+        cap = dataclasses.replace(cap, config=cfg)
     payload = sections.get("payload")
     try:
         rx, segments = decode_capture(cap, sections.get("sysref"), payload,
@@ -244,8 +249,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         base = sysref or SysrefSpec()
         sysref = dataclasses.replace(base, tx_phase_offset_octets=24)
     sweep = measure_latency_determinism(
-        cfg, args.trials, seed=args.seed or 0,
-        payload=sections.get("payload"), sysref=sysref)
+        cfg, args.trials, seed=args.seed or 0, payload=sections.get("payload"),
+        sysref=sysref, duration=sections["sim"].get("duration_cycles"),
+        channel=sections.get("channel"), ilas=sections["ilas"])
     values = sorted(set(sweep.latencies))
     print(f"trials={args.trials} latencies={values} "
           f"deterministic={sweep.deterministic}")
@@ -282,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="replay a capture through the receiver")
     dec.add_argument("--capture", required=True)
     dec.add_argument("--config", default=None,
-                     help="config supplying the payload oracle, SYSREF and the "
-                          "expected ILAS image (which ilas_policy strict needs)")
+                     help="config supplying the link, the payload oracle, SYSREF "
+                          "and the expected ILAS image (which ilas_policy strict "
+                          "needs); without it the capture header's link runs")
     dec.add_argument("--channels", type=int, default=None)
     dec.add_argument("--dump-samples", default=None)
     dec.add_argument("--report", default=None)

@@ -534,13 +534,16 @@ def measure_latency_determinism(cfg: LinkConfig, n_trials: int,
                                 seed: int = 0,
                                 payload: PayloadSpec | None = None,
                                 sysref: SysrefSpec | None = None,
-                                duration: int | None = None) -> LatencySweep:
+                                duration: int | None = None,
+                                channel: ChannelSpec | None = None,
+                                ilas: IlasConfig | None = None) -> LatencySweep:
     """Run ``n_trials`` with random per-lane skews and compare latencies.
 
-    The SYSREF phase relative to the transmitter grid is held fixed
-    across trials; the verdict is pass iff every trial produced the same
-    total latency.  Varying the phase instead (via ``sysref``) is the
-    negative control and is expected to break the equality.
+    Each trial runs ``channel`` with only its skew replaced.  The SYSREF
+    phase relative to the transmitter grid is held fixed across trials;
+    the verdict is pass iff every trial produced the same total latency.
+    Varying the phase instead (via ``sysref``) is the negative control
+    and is expected to break the equality.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -549,18 +552,17 @@ def measure_latency_determinism(cfg: LinkConfig, n_trials: int,
         skew_range = (0, cfg.fk // 2)
     rng = np.random.default_rng(seed)
     base_sysref = sysref or SysrefSpec()
+    channel = channel or ChannelSpec()
     if duration is None:
-        s0 = base_sysref.first_cycle or 0
-        duration = s0 + (48 + skew_range[1] + 10 * cfg.fk) // OCTETS_PER_CYCLE + 128
+        duration = ((base_sysref.first_cycle or 0) + 128 + (channel.base_idle_octets + 16
+                    + skew_range[1] + 10 * cfg.fk) // OCTETS_PER_CYCLE)
     latencies = []
     phases = []
     synced = True
     for _ in range(n_trials):
         skews = rng.integers(skew_range[0], skew_range[1] + 1, cfg.L)
-        channel = ChannelSpec(skew=[int(s) for s in skews])
-        rep = run_simulation(cfg, payload=payload, channel=channel,
-                             sysref=base_sysref,
-                             duration=duration)
+        trial = dataclasses.replace(channel, skew=[int(s) for s in skews])
+        rep = run_simulation(cfg, ilas, payload, trial, base_sysref, duration)
         synced = synced and rep.sync_achieved and rep.t_release >= 0
         latencies.append(rep.total_latency_octets)
         phases.append(rep.release_lmfc_phase)

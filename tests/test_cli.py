@@ -249,6 +249,28 @@ class TestGenDecodeRoundTrip:
                      config_path(strict, ilas={"did": 9, "m": 7})]) == EXIT_PROTOCOL
         assert main(["decode", "--capture", str(cap)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("link,sections,rc", [
+        ({"F": 8, "K": 16, "scrambling": 0}, {}, EXIT_PROTOCOL),
+        ({"ilas_policy": "strict"}, {"ilas": {"did": 9}}, EXIT_PROTOCOL),
+        ({"L": 1}, {}, EXIT_USAGE)], ids=["F8_K16", "strict_image", "lane_count"])
+    def test_decode_runs_the_config_link(self, config_path, tmp_path, capsys,
+                                         link, sections, rc):
+        # A capture of L=2, F=4, K=32 under a config describing another
+        # link: the receiver runs the config's link, so it never syncs,
+        # and a lane count the capture does not have is a usage error.
+        cap = tmp_path / "cap.txt"
+        assert main(["gen", "--config", config_path(
+            channel={"skew": [5, 38]}, payload={"kind": "random", "seed": 3}),
+            "--out", str(cap), "--cycles", "3000"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["decode", "--capture", str(cap),
+                     "--config", config_path(link, **sections)]) == rc
+        err = capsys.readouterr().err
+        if rc == EXIT_USAGE:
+            assert "2 lanes" in err and "L=1" in err
+        else:
+            assert "no synchronization" in err
+
     def test_decode_leaves_the_callers_sysref_alone(self, config_path, tmp_path):
         from jesd204b_sim.cli import decode_capture
         from jesd204b_sim.sim_harness import SysrefSpec
@@ -364,6 +386,15 @@ class TestSweepCommand:
         data = json.loads(rep.read_text())
         assert data["deterministic"] is True
         assert len(set(data["latencies"])) == 1
+
+    def test_sweep_runs_the_config_channel(self, config_path, tmp_path):
+        # 100 octets of idle fill, not the default 32: some of these
+        # skews then release a multiframe later (ROADMAP item 8).
+        rep = tmp_path / "sweep.json"
+        rc = main(["sweep", "--config", config_path(channel={"base_idle_octets": 100}),
+                   "--trials", "8", "--report", str(rep)])
+        assert rc == EXIT_PROTOCOL
+        assert sorted(set(json.loads(rep.read_text())["latencies"])) == [120, 248]
 
     def test_negative_control_reports_nondeterministic_vs_base(self, config_path):
         # The control shifts the transmitter grid; its (internally
