@@ -249,11 +249,13 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
         return np.zeros(0, dtype=np.uint16), rd
     check_range(chars, 0x7FF, "characters")
     flips = ENC_FLIP[chars]
-    rd_in = np.bitwise_xor.accumulate(flips)
-    rd_out = rd ^ int(rd_in[-1])
-    rd_in ^= flips      # the exclusive prefix: flips before each character
-    rd_in ^= rd
-    syms = ENC_SYM[rd_in, chars]
+    index = np.bitwise_xor.accumulate(flips, dtype=np.uint16)
+    rd_out = rd ^ int(index[-1])
+    index ^= flips      # the exclusive prefix: flips before each character
+    index ^= rd
+    index <<= 11        # (rd << 11) | char indexes the flat table
+    np.bitwise_or(index, chars, out=index, casting="unsafe")   # chars range-checked
+    syms = np.take(ENC_SYM.ravel(), index)
     if not syms.all():
         raise _invalid(int(chars[syms == 0][0]))
     return syms, rd_out
@@ -270,13 +272,16 @@ def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, in
     ones = POP10[syms]
     unbalanced = ones != 5
     # The disparity after each unbalanced symbol, after the entry one...
-    after = np.empty(int(np.count_nonzero(unbalanced)) + 1, dtype=np.uint8)
+    after = np.empty(int(np.count_nonzero(unbalanced)) + 1, dtype=np.uint16)
     after[0] = rd
     after[1:] = np.compress(unbalanced, ones) > 5   # faster than ones[unbalanced]
     # ...indexed by the number of unbalanced symbols before each symbol.
     before = np.cumsum(unbalanced, dtype=np.int32)
     before -= unbalanced
-    return DEC_CHAR[after[before], syms], int(after[-1])
+    index = after[before]
+    index <<= 10        # (rd << 10) | symbol indexes the flat table
+    np.bitwise_or(index, syms, out=index, casting="unsafe")   # syms range-checked
+    return np.take(DEC_CHAR.ravel(), index), int(after[-1])
 
 
 # ---------------------------------------------------------------------------
