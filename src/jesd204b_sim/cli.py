@@ -288,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="replay a capture through the receiver")
     dec.add_argument("--capture", required=True)
     dec.add_argument("--config", default=None,
-                     help="config supplying the link, the payload oracle, SYSREF "
-                          "and the expected ILAS image (which ilas_policy strict "
-                          "needs); without it the capture header's link runs")
+                     help="config supplying the link (else the capture's), payload "
+                          "oracle, SYSREF and expected ILAS image (strict needs it)")
     dec.add_argument("--channels", type=int, default=None)
     dec.add_argument("--dump-samples", default=None)
     dec.add_argument("--report", default=None)

@@ -255,7 +255,7 @@ def encode_stream(chars: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, int]
     index ^= rd
     index <<= 11        # (rd << 11) | char indexes the flat table
     np.bitwise_or(index, chars, out=index, casting="unsafe")   # chars range-checked
-    syms = np.take(ENC_SYM.ravel(), index)
+    syms = ENC_SYM.ravel()[index]
     if not syms.all():
         raise _invalid(int(chars[syms == 0][0]))
     return syms, rd_out
@@ -276,12 +276,14 @@ def decode_stream(symbols: np.ndarray, rd: int = RD_NEG) -> tuple[np.ndarray, in
     after[0] = rd
     after[1:] = np.compress(unbalanced, ones) > 5   # faster than ones[unbalanced]
     # ...indexed by the number of unbalanced symbols before each symbol.
-    before = np.cumsum(unbalanced, dtype=np.int32)
+    before = unbalanced.astype(np.int32)
+    np.cumsum(before, out=before)   # in place: half the peak of a casting cumsum
     before -= unbalanced
     index = after[before]
+    del ones, unbalanced, before    # freed before the gather: lowest peak memory
     index <<= 10        # (rd << 10) | symbol indexes the flat table
     np.bitwise_or(index, syms, out=index, casting="unsafe")   # syms range-checked
-    return np.take(DEC_CHAR.ravel(), index), int(after[-1])
+    return DEC_CHAR.ravel()[index], int(after[-1])
 
 
 # ---------------------------------------------------------------------------
