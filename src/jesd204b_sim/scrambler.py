@@ -12,18 +12,18 @@ Bits are processed most-significant first within each octet, earliest
 octet first.  There is one form per job:
 
 * serial, one bit at a time: the reference form,
-* a 32-bit-wide feed-forward XOR network, mirroring a wide-datapath
-  hardware implementation, applied to arrays of independent
-  (state, word) pairs: the parallel form of the scrambler criterion,
+* the closed form of the 32-bit-wide XOR network of a wide-datapath
+  receiver, on arrays of independent (state, word) pairs: the parallel
+  form of the scrambler criterion,
 * bulk octet-array forms for long streams, used by the transmitter and
-  the fast path (the descramble direction is a plain shifted XOR; the
-  scramble direction uses iterated operator doubling over GF(2), which
-  costs O(log n) shifted-XOR passes),
-* ``descramble_word32``, the shifted XOR on one word, for the stepped
-  receiver.
+  the fast path,
+* ``descramble_word32`` for the stepped receiver.
 
-All forms are pure functions threading the state explicitly and are
-verified against each other bit-for-bit by the test suite.
+The last three share one algebra: descrambling is the shifted XOR
+out = in ^ in>>13 ^ in>>14 over the stream behind its state, and
+scrambling its inverse by operator doubling.  All forms are pure
+functions threading the state explicitly and are verified against each
+other bit-for-bit by the test suite.
 
 Both link ends reset their state to all ones on data-phase entry.  That
 choice does not affect correctness (the descrambler self-synchronizes);
@@ -35,6 +35,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .codec8b10b import check_range
 
 STATE_BITS = 14
 STATE_MASK = (1 << STATE_BITS) - 1
@@ -70,73 +72,35 @@ def descramble_bits(state: int, bits: Iterable[int]) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# 32-bit parallel form.  Because the update is linear over GF(2), each of
-# the 32 output bits is the XOR parity of a fixed mask over the input word
-# and a fixed mask over the 14 state bits.  The masks are derived once by
-# running the serial recurrence symbolically.
+# 32-bit parallel form.  A (state, word) pair is one 46-bit window, the 14
+# state bits above the word, oldest first: a delay of k bits is a right
+# shift by k.
 # ---------------------------------------------------------------------------
 
-def _build_masks(self_sync_input: bool) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray]:
-    # Symbolic bit = (mask over the 32 input bits, mask over 14 state bits).
-    # Input bit j (stream order) occupies uint32 bit (31 - j).
-    state = [(0, 1 << k) for k in range(STATE_BITS)]
-    out_in = np.zeros(32, dtype=np.uint32)
-    out_st = np.zeros(32, dtype=np.uint32)
-    for j in range(32):
-        b_in = (1 << (31 - j), 0)
-        o = (b_in[0] ^ state[12][0] ^ state[13][0],
-             b_in[1] ^ state[12][1] ^ state[13][1])
-        out_in[j], out_st[j] = o
-        fed = b_in if self_sync_input else o
-        state = [fed] + state[:13]
-    st_in = np.array([m[0] for m in state], dtype=np.uint32)
-    st_st = np.array([m[1] for m in state], dtype=np.uint32)
-    return out_in, out_st, st_in, st_st
-
-
-_SCR_OUT_IN, _SCR_OUT_ST, _SCR_ST_IN, _SCR_ST_ST = _build_masks(self_sync_input=False)
-_DSC_OUT_IN, _DSC_OUT_ST, _DSC_ST_IN, _DSC_ST_ST = _build_masks(self_sync_input=True)
-
-
-def _parity32(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint32(16))
-    x = x ^ (x >> np.uint32(8))
-    x = x ^ (x >> np.uint32(4))
-    x = x ^ (x >> np.uint32(2))
-    x = x ^ (x >> np.uint32(1))
-    return x & np.uint32(1)
-
-
-def _apply_words_batch(words: np.ndarray, states: np.ndarray,
-                       out_in, out_st, st_in, st_st) -> tuple[np.ndarray, np.ndarray]:
-    words = np.asarray(words, dtype=np.uint32)
-    states = np.asarray(states, dtype=np.uint32)
-    out = np.zeros_like(words)
-    for j in range(32):
-        bit = _parity32(words & out_in[j]) ^ _parity32(states & out_st[j])
-        out |= bit.astype(np.uint32) << np.uint32(31 - j)
-    new_states = np.zeros_like(states)
-    for k in range(STATE_BITS):
-        bit = _parity32(words & st_in[k]) ^ _parity32(states & st_st[k])
-        new_states |= bit.astype(np.uint32) << np.uint32(k)
-    return out, new_states
+def _window(states: np.ndarray, words: np.ndarray) -> np.ndarray:
+    words = np.asarray(words)
+    check_range(words, 0xFFFF_FFFF, "words")
+    return (np.asarray(states) & STATE_MASK).astype(np.uint64) << 32 | words.astype(np.uint64)
 
 
 def scramble_words_batch(states: np.ndarray, words: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Parallel-form scramble of independent (state, word) pairs."""
-    out, ns = _apply_words_batch(words, states,
-                                 _SCR_OUT_IN, _SCR_OUT_ST, _SCR_ST_IN, _SCR_ST_ST)
-    return ns, out
+    """Parallel-form scramble of independent (state, word) pairs: fold the
+    oldest state bit into the newest, as :func:`scramble_octets` does, then
+    apply (1 ^ D)(1 ^ D^2) with D = >>13 ^ >>14 (D^4 shifts past the window)."""
+    u = _window(states, words)
+    u ^= u >> 45 << 32
+    t = u ^ u >> _TAP_A ^ u >> _TAP_B
+    y = t ^ t >> 2 * _TAP_A ^ t >> 2 * _TAP_B
+    return (y & STATE_MASK).astype(np.uint32), (y & 0xFFFF_FFFF).astype(np.uint32)
 
 
 def descramble_words_batch(states: np.ndarray, words: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Parallel-form descramble of independent (state, word) pairs."""
-    out, ns = _apply_words_batch(words, states,
-                                 _DSC_OUT_IN, _DSC_OUT_ST, _DSC_ST_IN, _DSC_ST_ST)
-    return ns, out
+    x = _window(states, words)
+    y = x ^ x >> _TAP_A ^ x >> _TAP_B
+    return (x & STATE_MASK).astype(np.uint32), (y & 0xFFFF_FFFF).astype(np.uint32)
 
 
 def descramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
