@@ -140,9 +140,16 @@ def _state_prefix(state: int) -> np.ndarray:
     return np.array([(state >> 8) & 0x3F, state & 0xFF], dtype=np.uint8)
 
 
+def _octets(octets: np.ndarray) -> np.ndarray:
+    octets = np.asarray(octets)
+    if octets.dtype != np.uint8:  # the transmitter and the fast path pass uint8
+        check_range(octets, 0xFF, "octets")
+    return octets.astype(np.uint8, copy=False)
+
+
 def descramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
     """Bulk descramble: out = in ^ in>>13 ^ in>>14 over the whole stream."""
-    octets = np.asarray(octets, dtype=np.uint8)
+    octets = _octets(octets)
     if octets.size == 0:
         return state & STATE_MASK, octets.copy()
     ext = np.concatenate([_state_prefix(state), octets])
@@ -159,7 +166,7 @@ def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
     D^(2^j) = (>>13*2^j ^ >>14*2^j) over GF(2).  Matches the serial form
     bit-for-bit, including the threaded state.
     """
-    octets = np.asarray(octets, dtype=np.uint8)
+    octets = _octets(octets)
     if octets.size == 0:
         return state & STATE_MASK, octets.copy()
     u = np.concatenate([_state_prefix(state), octets])
