@@ -169,9 +169,14 @@ class TestWord32Form:
     def test_exhaustive_state_sweep_fixed_word(self):
         states = np.arange(1 << 14, dtype=np.uint32)
         word = np.full(1 << 14, 0xA5C3_17F0, dtype=np.uint32)
-        so, wo = oracle_descramble_batch(states, word)
-        sl, wl = sc.descramble_words_batch(states, word)
-        assert (wl == wo).all() and (sl == so).all()
+        for batch, oracle in ((sc.descramble_words_batch, oracle_descramble_batch),
+                              (sc.scramble_words_batch, oracle_scramble_batch)):
+            so, wo = oracle(states, word)
+            sl, wl = batch(states, word)
+            assert (wl == wo).all() and (sl == so).all()
+            # Bits above the 14-bit state are ignored, as by the serial form.
+            sl, wl = batch(states | np.uint32(0xFFFF_C000), word)
+            assert (wl == wo).all() and (sl == so).all()
 
 
 class TestBulkOctetForm:
@@ -215,3 +220,37 @@ class TestBulkOctetForm:
             state, part = sc.scramble_octets(state, octets[i:i + 999])
             parts.append(part)
         assert (np.concatenate(parts) == whole).all()
+
+
+class TestArrayInputRange:
+    """The array forms reject what they would otherwise wrap or truncate."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: sc.scramble_words_batch(np.array([5]), np.array([2**32 + 7])),
+        lambda: sc.descramble_words_batch(np.array([5]), np.array([-1])),
+        lambda: sc.scramble_words_batch(np.array([5]), np.array([7.0])),
+        lambda: sc.descramble_words_batch(np.array([5]), np.array([7.9])),
+        lambda: sc.descramble_octets(5, np.array([300, 2])),
+        lambda: sc.scramble_octets(5, np.array([-1, 2])),
+        lambda: sc.scramble_octets(5, np.array([44.0, 2.0])),
+    ], ids=["word-above-32-bits", "negative-word", "float-words",
+            "float-words-descramble", "octet-above-255", "negative-octet",
+            "float-octets"])
+    def test_out_of_range_or_non_integer_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_in_range_wide_dtypes_match_narrow(self):
+        rng = np.random.default_rng(40)
+        octets = rng.integers(0, 256, 64)
+        for fn in (sc.scramble_octets, sc.descramble_octets):
+            st, out = fn(0x1234, octets)
+            st8, out8 = fn(0x1234, octets.astype(np.uint8))
+            assert st == st8 and out.dtype == np.uint8 and (out == out8).all()
+        states = rng.integers(0, 1 << 14, 64)
+        words = rng.integers(0, 1 << 32, 64)
+        for fn in (sc.scramble_words_batch, sc.descramble_words_batch):
+            wide = fn(states, words)
+            narrow = fn(states.astype(np.uint32), words.astype(np.uint32))
+            assert all(a.dtype == np.uint32 and (a == b).all()
+                       for a, b in zip(wide, narrow))
