@@ -75,7 +75,7 @@ class ParseError(ValueError):
 
 
 def _is_int(value: Any) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_keys(section: str, data: dict[str, Any], allowed: Collection[str]) -> None:
@@ -313,7 +313,7 @@ class IlasConfig:
         octets = [0] * ILAS_CONFIG_LEN
         for name, (octet, shift, width) in ILAS_FIELD_LAYOUT.items():
             value = getattr(self, name)
-            if not (isinstance(value, int) and 0 <= value < (1 << width)):
+            if not (_is_int(value) and 0 <= value < (1 << width)):
                 raise FieldOverflow(name, value, width)
             octets[octet] |= value << shift
         octets[13] = self.checksum(octets, rule)

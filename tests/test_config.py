@@ -66,6 +66,15 @@ class TestValidateConfig:
         assert ("scrambling-type" not in names(check_config(cfg))) == ok
         assert cfg.scrambling is bool(value) if ok else cfg.scrambling is value
 
+    @pytest.mark.parametrize("field", ["L", "F", "K", "buffer_depth"])
+    def test_numpy_integer_rejected(self, field):
+        # Accepting it here let run_simulation fail later with a false
+        # FieldOverflow from IlasConfig.pack.
+        cfg = LinkConfig(L=2, F=4, K=32)
+        cfg = dataclasses.replace(cfg, **{field: np.int64(getattr(cfg, field))})
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParseError, match="bogus"):
             LinkConfig.from_dict({"L": 2, "F": 4, "K": 32, "bogus": 1})
@@ -170,6 +179,11 @@ class TestIlasConfig:
     def test_field_overflow(self):
         with pytest.raises(FieldOverflow, match="lid"):
             IlasConfig(lid=32).pack()
+
+    @pytest.mark.parametrize("value", [True, np.int64(1)])
+    def test_bool_or_numpy_field_rejected(self, value):
+        with pytest.raises(FieldOverflow, match="did"):
+            IlasConfig(did=value).pack()
 
     def test_matches_link_minimal_policy(self):
         cfg = LinkConfig(L=2, F=4, K=32, scrambling=1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jesd204b_sim.codec8b10b import CTRL_FLAG, K_K, RD_NEG, decode_stream, serialize
-from jesd204b_sim.config import LinkConfig
+from jesd204b_sim.config import LinkConfig, ParseError
 from jesd204b_sim.sim_harness import (ChannelSpec, SimConfigError, Simulation,
                                       SysrefSpec, measure_latency_determinism,
                                       run_multi_link, run_simulation)
@@ -65,6 +65,18 @@ class TestSetupErrors:
     def test_nonpositive_duration_is_config_error(self):
         with pytest.raises(SimConfigError, match="duration"):
             run_simulation(CFG, duration=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: PayloadSpec(channels=np.int64(4)),
+        lambda: PayloadSpec(seed=np.int64(7)),
+        lambda: ChannelSpec(skew=[np.int64(5), np.int64(38)]),
+        lambda: SysrefSpec(first_cycle=np.int64(8)),
+    ], ids=["channels", "seed", "skew", "first_cycle"])
+    def test_numpy_integer_rejected_by_name(self, make):
+        # Accepted, these failed later: a false FieldOverflow while packing
+        # the ILAS image, or a TypeError in report.to_json().
+        with pytest.raises(ParseError):
+            make()
 
     def test_doomed_but_legal_setup_reports_fault_instead(self):
         # Skew beyond the buffer capacity must come back as a reported
