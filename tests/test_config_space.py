@@ -3,6 +3,8 @@
 F is a multiple of 4 in 4..32 and F*K lies in 17..1024, so
 ``validate_config`` accepts 248 (F, K) pairs; each runs at L = 1 and 2,
 with the lanes at the extreme skews 0 and F*K/2 (L = 1 takes F*K/2).
+The smallest and largest K of each F also run at L = 32, with the lane
+skews spread evenly over 0..F*K/2.
 
 Recovery: one bit flip on lane 0 after the first release, with
 ``error_threshold`` 1, so the flip is the whole burst.  The link must
@@ -45,7 +47,8 @@ def _burst_run(L, F, K, fast=True, collect_output=False):
     cfg = LinkConfig(L=L, F=F, K=K, error_threshold=1)
     fk = F * K
     burst = _release_bound(fk)
-    channel = ChannelSpec(skew=[0, fk // 2][-L:], error_positions=[(0, 40 * burst + 3)])
+    skew = [lane * (fk // 2) // (L - 1) for lane in range(L)] if L > 1 else [fk // 2]
+    channel = ChannelSpec(skew=skew, error_positions=[(0, 40 * burst + 3)])
     sim = Simulation(cfg, payload=PayloadSpec(seed=64 * F + K), channel=channel,
                      collect_output=collect_output)
     return sim, sim.run(2 * burst + 64, fast=fast), burst
@@ -55,11 +58,12 @@ def test_every_accepted_pair_is_enumerated():
     assert len(PAIRS) == 248
 
 
-@pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize("L", [1, 2, 32])
 @pytest.mark.parametrize("F", range(4, 33, 4))
 def test_recovery_after_a_burst(L, F):
     failed = []
-    for K in (k for f, k in PAIRS if f == F):
+    Ks = [k for f, k in PAIRS if f == F]
+    for K in Ks if L < 32 else (Ks[0], Ks[-1]):
         sim, rep, burst = _burst_run(L, F, K)
         releases = [int(line.split()[0].removeprefix("cycle="))
                     for line in rep.event_log if " event=release " in line]
@@ -75,7 +79,8 @@ def test_recovery_after_a_burst(L, F):
 
 
 @pytest.mark.parametrize("L,F,K", [(1, 4, 5), (2, 4, 32), (2, 8, 8), (1, 12, 5),
-                                   (2, 16, 17), (1, 20, 13), (2, 28, 9), (2, 32, 32)])
+                                   (2, 16, 17), (1, 20, 13), (2, 28, 9), (2, 32, 32),
+                                   (32, 4, 5), (32, 12, 32), (32, 20, 1), (32, 32, 32)])
 def test_stepped_and_fast_agree(L, F, K):
     runs = [_burst_run(L, F, K, fast, collect_output=True) for fast in (False, True)]
     (stepped, stepped_rep, _), (fast, fast_rep, _) = runs
