@@ -512,7 +512,6 @@ class RxReceiver:
             outputs.append(combined[:n_oct].copy())
             lane.buffer = deque(int(v) for v in combined[n_oct:])
             lane.pend = deque(int(v) for v in leftover)
-            lane.aligned_count += n_oct
 
         self.cycle += n_cycles
         self.lmfc.phase = (self.lmfc.phase
