@@ -89,7 +89,7 @@ def scramble_words_batch(states: np.ndarray, words: np.ndarray
     oldest state bit into the newest, as :func:`scramble_octets` does, then
     apply (1 ^ D)(1 ^ D^2) with D = >>13 ^ >>14 (D^4 shifts past the window)."""
     u = _window(states, words)
-    u ^= u >> 45 << 32
+    u ^= (u >> 45) << 32
     t = u ^ u >> _TAP_A ^ u >> _TAP_B
     y = t ^ t >> 2 * _TAP_A ^ t >> 2 * _TAP_B
     return (y & STATE_MASK).astype(np.uint32), (y & 0xFFFF_FFFF).astype(np.uint32)
