@@ -80,7 +80,8 @@ def descramble_bits(state: int, bits: Iterable[int]) -> tuple[int, list[int]]:
 def _window(states: np.ndarray, words: np.ndarray) -> np.ndarray:
     words = np.asarray(words)
     check_range(words, 0xFFFF_FFFF, "words")
-    return (np.asarray(states) & STATE_MASK).astype(np.uint64) << 32 | words.astype(np.uint64)
+    return ((np.asarray(states) & STATE_MASK).astype(np.uint64) << 32
+            | words.astype(np.uint64))
 
 
 def scramble_words_batch(states: np.ndarray, words: np.ndarray
@@ -142,7 +143,8 @@ def _state_prefix(state: int) -> np.ndarray:
 
 def _octets(octets: np.ndarray) -> np.ndarray:
     octets = np.asarray(octets)
-    if octets.dtype != np.uint8:  # the transmitter and the fast path pass uint8
+    # The transmitter and the fast path pass uint8, so they skip the check.
+    if octets.dtype != np.uint8 and octets.size:
         check_range(octets, 0xFF, "octets")
     return octets.astype(np.uint8, copy=False)
 

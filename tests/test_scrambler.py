@@ -247,6 +247,8 @@ class TestArrayInputRange:
             st, out = fn(0x1234, octets)
             st8, out8 = fn(0x1234, octets.astype(np.uint8))
             assert st == st8 and out.dtype == np.uint8 and (out == out8).all()
+            st, out = fn(0x1234, [])   # an empty list is float64 to numpy
+            assert st == 0x1234 and out.dtype == np.uint8 and out.size == 0
         states = rng.integers(0, 1 << 14, 64)
         words = rng.integers(0, 1 << 32, 64)
         for fn in (sc.scramble_words_batch, sc.descramble_words_batch):

@@ -66,16 +66,16 @@ class TestSetupErrors:
         with pytest.raises(SimConfigError, match="duration"):
             run_simulation(CFG, duration=0)
 
-    @pytest.mark.parametrize("make", [
-        lambda: PayloadSpec(channels=np.int64(4)),
-        lambda: PayloadSpec(seed=np.int64(7)),
-        lambda: ChannelSpec(skew=[np.int64(5), np.int64(38)]),
-        lambda: SysrefSpec(first_cycle=np.int64(8)),
-    ], ids=["channels", "seed", "skew", "first_cycle"])
-    def test_numpy_integer_rejected_by_name(self, make):
+    @pytest.mark.parametrize("name,make", [
+        ("channels", lambda: PayloadSpec(channels=np.int64(4))),
+        ("seed", lambda: PayloadSpec(seed=np.int64(7))),
+        ("skew", lambda: ChannelSpec(skew=[np.int64(5), np.int64(38)])),
+        ("first_cycle", lambda: SysrefSpec(first_cycle=np.int64(8))),
+    ])
+    def test_numpy_integer_rejected_by_name(self, name, make):
         # Accepted, these failed later: a false FieldOverflow while packing
         # the ILAS image, or a TypeError in report.to_json().
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=name):
             make()
 
     def test_doomed_but_legal_setup_reports_fault_instead(self):
