@@ -1,14 +1,16 @@
 """Receiver: per-lane datapath, shared link state machine, LMFC and release.
 
 The receiver is stepped once per link clock.  Each step ingests four
-decoded characters per lane and advances, in order: the SYSREF-locked
-multiframe counter, the link state machine
-(RESET -> WAIT_FOR_PHY -> CGS -> ILAS -> SYNCED, with the single
-backward edge to CGS on fault; the PHY wait is a fixed four cycles), the
-per-lane datapaths (octet rotation, alignment-sequence capture checked
-against the layout :func:`.tx_model.build_ilas` transmits, descrambling,
-elastic buffering) and finally the centralized buffer release that
-starts all lanes' output on the same cycle at a fixed multiframe phase.
+decoded characters per lane and advances, in order: the SYSREF edge
+detector, the link state machine (RESET -> WAIT_FOR_PHY -> CGS -> ILAS
+-> SYNCED, with the single backward edge to CGS on fault; the PHY wait
+is a fixed four cycles), the per-lane datapaths (octet rotation,
+alignment-sequence capture checked against the layout
+:func:`.tx_model.build_ilas` transmits, descrambling, elastic buffering)
+and finally the centralized buffer release that starts all lanes'
+output on the same cycle at a fixed multiframe phase.  That phase (LMFC)
+is derived, not counted: four octets per cycle since the last SYSREF
+edge (or reset, until the first edge locks it), modulo F*K.
 
 Per-lane octet rotation anchors on the first clean /K/ comma of the run
 that completes group synchronization; because the transmitter emits
@@ -63,31 +65,6 @@ _DATA = 3
 _FLAGS = NIT_FLAG | DERR_FLAG
 # Flag bits of four packed characters viewed as one 64-bit word.
 _CYCLE_FLAGS = np.uint64(0xFF00_FF00_FF00_FF00)
-
-
-class Lmfc:
-    """Octet counter of period F*K, phase-locked to SYSREF edges."""
-
-    def __init__(self, fk: int):
-        self.fk = fk
-        self.phase = 0
-        self.locked = False
-        self.misaligned = 0  # arrival phase of an off-grid edge, 0 for none
-        self._prev = False
-
-    def step(self, sysref: bool) -> bool:
-        """Advance one cycle; returns True on a multiframe boundary."""
-        edge = sysref and not self._prev
-        self._prev = sysref
-        if edge:
-            arrival = (self.phase + OCTETS_PER_CYCLE) % self.fk
-            if self.locked and arrival:
-                self.misaligned = arrival
-            self.phase = 0
-            self.locked = True
-            return True
-        self.phase = (self.phase + OCTETS_PER_CYCLE) % self.fk
-        return self.locked and self.phase == 0
 
 
 class LaneState:
@@ -154,7 +131,9 @@ class RxReceiver:
         self.cycle = -1
         self.fsm = RxFsm.RESET
         self.sync_request = True
-        self.lmfc = Lmfc(cfg.fk)
+        self._sysref_level = False
+        self._lmfc_locked = False
+        self._sysref_edge = -1   # cycle of the last SYSREF edge; reset acts as one
         self.lanes = [LaneState(i) for i in range(cfg.L)]
         self._stability = 0
         self._err_cycles: deque[int] = deque()
@@ -172,6 +151,11 @@ class RxReceiver:
         self.t_synced = -1
         self.t_release = -1
         self.release_lmfc_phase = -1
+
+    @property
+    def lmfc_phase(self) -> int:
+        """Multiframe phase in octets on the current cycle."""
+        return OCTETS_PER_CYCLE * (self.cycle - self._sysref_edge) % self.cfg.fk
 
     # -- public stepping ----------------------------------------------------
 
@@ -255,11 +239,13 @@ class RxReceiver:
         """
         self.cycle += 1
         cycle = self.cycle
-        boundary = self.lmfc.step(sysref)
-        if self.lmfc.misaligned:
-            self.error_counts["sysref_misaligned"] += 1
-            self._event(None, "sysref_misaligned", f"phase={self.lmfc.misaligned}")
-            self.lmfc.misaligned = 0
+        if sysref and not self._sysref_level:
+            if self._lmfc_locked and self.lmfc_phase:
+                self.error_counts["sysref_misaligned"] += 1
+                self._event(None, "sysref_misaligned", f"phase={self.lmfc_phase}")
+            self._lmfc_locked = True
+            self._sysref_edge = cycle
+        self._sysref_level = sysref
 
         fsm = self.fsm
         if fsm is RxFsm.RESET:
@@ -274,7 +260,7 @@ class RxReceiver:
             return None
 
         if fsm is RxFsm.CGS:
-            self._cgs_cycle(words, boundary)
+            self._cgs_cycle(words)
             return None
 
         # ILAS or SYNCED: run lane datapaths, then fault checks and release.
@@ -296,7 +282,7 @@ class RxReceiver:
         if self.fsm is not RxFsm.SYNCED:
             return None
         if not self.released and all(l.ready for l in self.lanes):
-            ph = self.lmfc.phase
+            ph = self.lmfc_phase
             if ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
                 self.released = True
                 if self.t_release < 0:  # measurements track the first release
@@ -335,7 +321,7 @@ class RxReceiver:
             window.popleft()
         return len(window) >= self.cfg.error_threshold
 
-    def _cgs_cycle(self, words, boundary: bool) -> None:
+    def _cgs_cycle(self, words) -> None:
         all_clean = True
         for lane, word in zip(self.lanes, words):
             for pos in range(OCTETS_PER_CYCLE):
@@ -352,7 +338,8 @@ class RxReceiver:
                     all_clean = False
         achieved = all(l.rotation is not None for l in self.lanes)
         self._stability = self._stability + 1 if (achieved and all_clean) else 0
-        if achieved and self._stability >= self.cfg.stability_cycles and boundary:
+        if (achieved and self._stability >= self.cfg.stability_cycles
+                and self._lmfc_locked and self.lmfc_phase == 0):
             self.sync_request = False
             self.fsm = RxFsm.ILAS
             if self.t_sync_deassert < 0:
@@ -514,6 +501,4 @@ class RxReceiver:
             lane.pend = deque(int(v) for v in leftover)
 
         self.cycle += n_cycles
-        self.lmfc.phase = (self.lmfc.phase
-                           + n_cycles * OCTETS_PER_CYCLE) % self.lmfc.fk
         return outputs

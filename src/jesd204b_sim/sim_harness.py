@@ -48,7 +48,7 @@ from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import (OCTETS_PER_CYCLE, IlasConfig, LinkConfig, ParseError,
                      check_int, check_keys, validate_config)
 from .rx_core import RxReceiver
-from .tx_model import PHASE_CGS, PayloadSpec, TxLink, lane_payload_octets
+from .tx_model import PayloadSpec, TxLink, lane_payload_octets
 
 BITS_PER_CYCLE = 40
 
@@ -171,16 +171,16 @@ class SysrefSpec:
         period = self.period_multiframes * fk // OCTETS_PER_CYCLE
         return (cycle - self.first_cycle) % period == 0
 
-    def tx_boundary(self, cycle: int, fk: int) -> bool:
-        """Whether the transmitter's multiframe starts on ``cycle``.
-
-        The transmitter's grid is the SYSREF grid shifted by
-        ``tx_phase_offset_octets``; it runs only once SYSREF has started.
-        """
-        if self.first_cycle is None or cycle < self.first_cycle:
-            return False
-        offset = self.tx_phase_offset_octets // OCTETS_PER_CYCLE
-        return (cycle - self.first_cycle - offset) % (fk // OCTETS_PER_CYCLE) == 0
+    def first_tx_boundary(self, t0: int, n: int, fk: int) -> int | None:
+        """Offset of the transmitter's first multiframe start in cycles
+        ``[t0, t0 + n)``, or None.  Its grid is the SYSREF grid shifted by
+        ``tx_phase_offset_octets``, and it starts with SYSREF."""
+        if self.first_cycle is None:
+            return None
+        start = max(t0, self.first_cycle)
+        grid = self.first_cycle + self.tx_phase_offset_octets // OCTETS_PER_CYCLE
+        start += (grid - start) % (fk // OCTETS_PER_CYCLE)
+        return start - t0 if start < t0 + n else None
 
 
 @dataclass
@@ -402,13 +402,8 @@ class Simulation:
         per lane the packed decoded characters, the line symbols (only
         when collected) and the flip positions relative to the span.
         """
-        tx, fk = self.tx, self.cfg.fk
-        boundary = None
-        if tx.phase == PHASE_CGS and not sync:
-            # The grid repeats every multiframe, so one multiframe is enough.
-            boundary = next((i for i in range(min(n_cycles, fk // OCTETS_PER_CYCLE))
-                             if self.sysref.tx_boundary(t0 + i, fk)), None)
-        line = tx.emit(n_cycles, sync, boundary)
+        line = self.tx.emit(n_cycles, sync,
+                            self.sysref.first_tx_boundary(t0, n_cycles, self.cfg.fk))
         count = OCTETS_PER_CYCLE * n_cycles
         chars, symbols, lane_flips, rd = [], [], [], []
         for lane, (enc_rd, dec_rd) in enumerate(self._rd):

@@ -14,7 +14,7 @@ import pytest
 from jesd204b_sim.codec8b10b import (CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R,
                                      NIT_FLAG, RD_NEG, decode_stream)
 from jesd204b_sim.config import POLICY_STRICT, IlasConfig, LinkConfig
-from jesd204b_sim.rx_core import _DATA, Lmfc, RxFsm, RxReceiver
+from jesd204b_sim.rx_core import _DATA, RxFsm, RxReceiver
 from jesd204b_sim.sim_harness import ChannelSpec, Simulation, SysrefSpec
 from jesd204b_sim.tx_model import PayloadSpec, TxLink, lane_payload_octets
 
@@ -180,27 +180,35 @@ class TestCgsRules:
 
 
 class TestLmfc:
+    """The multiframe phase is four octets per cycle since the last
+    SYSREF edge, modulo F*K (128 octets, 32 cycles here)."""
+
+    @staticmethod
+    def _run(pulses, cycles, word=(IDLE,) * 4):
+        """Step a fresh receiver with SYSREF on the cycles in ``pulses``;
+        returns it and its (phase, sync request) per cycle."""
+        rx = RxReceiver(CFG)
+        trace = []
+        for t in range(cycles):
+            rx.step_packed([word] * 2, t in pulses)
+            trace.append((rx.lmfc_phase, rx.sync_request))
+        return rx, trace
+
     def test_boundary_every_multiframe(self):
-        lm = Lmfc(128)
-        assert lm.step(True)  # lock
-        boundaries = [lm.step(False) for _ in range(96)]
-        assert [i for i, b in enumerate(boundaries) if b] == [31, 63, 95]
+        _, trace = self._run({0}, 97)
+        assert [t for t, (phase, _) in enumerate(trace) if phase == 0] == [0, 32, 64, 96]
 
     def test_aligned_periodic_sysref_is_quiet(self):
-        lm = Lmfc(128)
-        lm.step(True)
-        for t in range(1, 200):
-            lm.step(t % 32 == 0)
-            assert not lm.misaligned
+        rx, trace = self._run(set(range(0, 200, 32)), 200)
+        assert [phase for phase, _ in trace] == [4 * t % 128 for t in range(200)]
+        assert rx.error_counts["sysref_misaligned"] == 0
+        assert not [e for e in rx.events if e[2] == "sysref_misaligned"]
 
     def test_misaligned_sysref_flagged(self):
-        lm = Lmfc(128)
-        lm.step(True)
-        for _ in range(10):
-            lm.step(False)
-        lm.step(True)  # arrives at phase 44, not a boundary
-        assert lm.misaligned == 44
-        assert lm.phase == 0  # still realigns
+        rx, _ = self._run({0, 11}, 12)  # cycle 11 arrives at phase 44
+        assert [e for e in rx.events if e[2] == "sysref_misaligned"] == [
+            (11, None, "sysref_misaligned", "phase=44")]
+        assert rx.lmfc_phase == 0  # still realigns
 
     def test_receiver_reports_the_arrival_phase(self):
         # Locked at cycle 8, an edge at cycle 45 arrives 37 cycles of 4
@@ -213,10 +221,13 @@ class TestLmfc:
         assert rx.error_counts["sysref_misaligned"] == 1
 
     def test_free_runs_unlocked_without_edge(self):
-        lm = Lmfc(128)
-        for _ in range(100):
-            assert not lm.step(False)
-        assert not lm.locked
+        # The lanes reach CGS, but with no edge there is no boundary to
+        # leave it on, although the free-running phase passes 0.
+        rx, trace = self._run(set(), 100, (K_PACKED,) * 4)
+        assert all(sync for _, sync in trace)
+        assert 0 in {phase for phase, _ in trace}
+        assert rx.fsm is RxFsm.CGS
+        assert all(lane.rotation is not None for lane in rx.lanes)
 
 
 class TestIlasCapture:

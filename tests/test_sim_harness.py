@@ -243,6 +243,33 @@ class TestDeterminism:
         assert not SysrefSpec(first_cycle=None).pulse(8, CFG.fk)
         assert spec == SysrefSpec(first_cycle=8, period_multiframes=4)
 
+    def test_first_tx_boundary_matches_a_scan(self):
+        # Against the definition, cycle by cycle: the transmitter's
+        # multiframe starts on each c >= first_cycle with
+        # (c - first_cycle - offset // 4) % (F*K // 4) == 0.
+        rng = np.random.default_rng(24)
+        drawn = set()
+        for _ in range(600):
+            fk = 4 * int(rng.integers(1, 65))
+            mf = fk // 4
+            t0 = int(rng.integers(0, 300))
+            n = int(rng.integers(1, 3 * mf + 2))
+            first = (None if rng.random() < 0.1
+                     else max(0, t0 + int(rng.integers(-3 * mf, 3 * mf + 1))))
+            offset = 4 * int(rng.integers(-2 * mf, 2 * mf + 1))
+            spec = SysrefSpec(first_cycle=first, tx_phase_offset_octets=offset)
+            want = next((c - t0 for c in range(t0, t0 + n)
+                         if first is not None and c >= first
+                         and (c - first - offset // 4) % mf == 0), None)
+            assert spec.first_tx_boundary(t0, n, fk) == want, (spec, t0, n, fk)
+            drawn |= {"never" if first is None else
+                      "late" if first > t0 + mf else "early",
+                      "negative" if offset < 0 else "positive",
+                      "short" if n < mf else "long" if n > mf else "one",
+                      "hit" if want is not None else "miss"}
+        assert drawn == {"never", "late", "early", "negative", "positive",
+                         "short", "long", "one", "hit", "miss"}
+
     def test_identical_runs_byte_identical_reports(self):
         kw = dict(payload=PAY, channel=ChannelSpec(skew=[2, 7], rng_seed=1),
                   duration=3000)
