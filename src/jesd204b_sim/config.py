@@ -74,7 +74,7 @@ class ParseError(ValueError):
     """Malformed or unknown content in a JSON config file."""
 
 
-def _is_int(value: Any) -> bool:
+def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -89,7 +89,7 @@ def check_int(name: str, value: Any, lo: int | None = None,
               hi: int | None = None) -> None:
     """Raise :class:`ParseError` naming ``name`` unless ``value`` is an
     integer in ``lo..hi`` (a bound of None leaves that side open)."""
-    if _is_int(value) and (lo is None or lo <= value) and (hi is None or value <= hi):
+    if is_int(value) and (lo is None or lo <= value) and (hi is None or value <= hi):
         return
     if hi is not None:
         allowed = f"an integer in {lo}..{hi}"
@@ -126,7 +126,7 @@ class LinkConfig:
     def __post_init__(self) -> None:
         if isinstance(self.scrambling, numbers.Integral) and self.scrambling in (0, 1):
             self.scrambling = bool(self.scrambling)  # check_config rejects the rest
-        if not (_is_int(self.F) and _is_int(self.K)):
+        if not (is_int(self.F) and is_int(self.K)):
             return  # check_config reports them; nothing derives from them
         if self.buffer_depth is None:
             self.buffer_depth = 2 * self.F * self.K
@@ -177,15 +177,15 @@ def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
 
     for attr, (lo, hi) in _RANGES.items():
         v = getattr(cfg, attr)
-        if not (_is_int(v) and lo <= v <= hi):
+        if not (is_int(v) and lo <= v <= hi):
             bad(f"{attr}-range", v, f"{lo}..{hi}")
     for attr in _INT_FIELDS:
         v = getattr(cfg, attr)
-        if not _is_int(v) and v is not None:  # None: F or K is mistyped
+        if not is_int(v) and v is not None:  # None: F or K is mistyped
             bad(f"{attr.replace('_', '-')}-type", v, "an integer")
     if not isinstance(cfg.scrambling, bool):
         bad("scrambling-type", cfg.scrambling, "a bool, 0 or 1")
-    if not all(_is_int(getattr(cfg, attr)) for attr in (*_RANGES, *_INT_FIELDS)):
+    if not all(is_int(getattr(cfg, attr)) for attr in (*_RANGES, *_INT_FIELDS)):
         return out  # the rules below compare integers
 
     if cfg.F % 4 != 0:
@@ -313,7 +313,7 @@ class IlasConfig:
         octets = [0] * ILAS_CONFIG_LEN
         for name, (octet, shift, width) in ILAS_FIELD_LAYOUT.items():
             value = getattr(self, name)
-            if not (_is_int(value) and 0 <= value < (1 << width)):
+            if not (is_int(value) and 0 <= value < (1 << width)):
                 raise FieldOverflow(name, value, width)
             octets[octet] |= value << shift
         octets[13] = self.checksum(octets, rule)

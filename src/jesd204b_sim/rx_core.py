@@ -177,13 +177,20 @@ class RxReceiver:
         Returns ``(cycles consumed, cycles fast-forwarded, segments)``,
         the output as ``(release cycle, pieces)`` per segment (cycle -1 for
         the one open when the call began), each piece one equal-length
-        uint8 array per lane.
+        uint8 array per lane.  Raises ValueError unless ``chars`` holds
+        one uint16 array per lane, all of one length in whole cycles.
         """
+        if not (len(chars) == self.cfg.L
+                and all(isinstance(c, np.ndarray) and c.dtype == np.uint16
+                        and c.shape == chars[0].shape for c in chars)
+                and chars[0].ndim == 1 and chars[0].shape[0] % OCTETS_PER_CYCLE == 0):
+            raise ValueError(f"chars must be {self.cfg.L} uint16 arrays of one "
+                             "length, a multiple of 4")
         n = chars[0].shape[0] // OCTETS_PER_CYCLE
         fk = self.cfg.fk
         flagged = np.zeros(n, dtype=bool)
         for lane in chars:
-            flagged |= (lane[:OCTETS_PER_CYCLE * n].view(np.uint64) & _CYCLE_FLAGS) != 0
+            flagged |= (lane.view(np.uint64) & _CYCLE_FLAGS) != 0
         must_step = flagged.copy()
         must_step[1:] |= flagged[:-1]
         must_step[:1] = True

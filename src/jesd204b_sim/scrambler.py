@@ -78,10 +78,12 @@ def descramble_bits(state: int, bits: Iterable[int]) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 def _window(states: np.ndarray, words: np.ndarray) -> np.ndarray:
-    words = np.asarray(words)
-    check_range(words, 0xFFFF_FFFF, "words")
-    return ((np.asarray(states) & STATE_MASK).astype(np.uint64) << 32
-            | words.astype(np.uint64))
+    states, words = np.asarray(states), np.asarray(words)
+    if states.size or words.size:   # an empty list is float64 to numpy
+        check_range(words, 0xFFFF_FFFF, "words")
+        if states.dtype.kind not in "iu":
+            raise ValueError(f"states must be integers, got dtype {states.dtype}")
+    return (states.astype(np.uint64) & STATE_MASK) << 32 | words.astype(np.uint64)
 
 
 def scramble_words_batch(states: np.ndarray, words: np.ndarray

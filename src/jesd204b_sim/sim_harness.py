@@ -46,7 +46,7 @@ from . import codec8b10b as codec
 # this module, so they stay importable from it.
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import (OCTETS_PER_CYCLE, IlasConfig, LinkConfig, ParseError,
-                     check_int, check_keys, validate_config)
+                     check_int, check_keys, is_int, validate_config)
 from .rx_core import RxReceiver
 from .tx_model import PayloadSpec, TxLink, lane_payload_octets
 
@@ -326,8 +326,8 @@ class Simulation:
     def run(self, duration: int, fast: bool = True) -> SimReport:
         """Run ``duration`` cycles from reset; ``fast=False`` steps every
         cycle (the reference the fast path must match)."""
-        if duration < 1:
-            raise SimConfigError(f"duration must be positive, got {duration}")
+        if not is_int(duration) or duration < 1:
+            raise SimConfigError(f"duration must be a positive int, got {duration!r}")
         lanes = self.cfg.L
         tx, rx = self.tx, self.rx
         tx.reset()
@@ -540,8 +540,8 @@ def measure_latency_determinism(cfg: LinkConfig, n_trials: int,
     Varying the phase instead (via ``sysref``) is the negative control
     and is expected to break the equality.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if not is_int(n_trials) or n_trials < 1:
+        raise ValueError(f"n_trials must be an int >= 1, got {n_trials!r}")
     validate_config(cfg)
     if skew_range is None:
         skew_range = (0, cfg.fk // 2)

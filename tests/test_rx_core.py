@@ -476,6 +476,23 @@ class TestReceive:
                              for lane in range(cfg.L)])
                     for cycle, pieces in segments]
 
+    K_LANE = np.full(400, K_PACKED, np.uint16)
+
+    @pytest.mark.parametrize("chars", [
+        [K_LANE, np.concatenate([K_LANE, K_LANE])],
+        [K_LANE, K_LANE[:396]],
+        [K_LANE, K_LANE, K_LANE],
+        [K_LANE],
+        [K_LANE[:398], K_LANE[:398]],
+        [K_LANE.astype(np.int64)] * 2,
+    ], ids=["longer-lane", "shorter-lane", "extra-lane", "missing-lane",
+            "part-cycle", "int64"])
+    def test_malformed_lanes_rejected(self, chars):
+        # Accepted, these dropped or ignored characters without an error,
+        # or failed in numpy broadcasting.
+        with pytest.raises(ValueError, match="uint16 arrays"):
+            RxReceiver(CFG).receive(chars, SysrefSpec())
+
     def test_a_flag_in_the_rotation_residue_steps(self):
         # Bit 9305 of lane 1 is bit 5 of character 2 of cycle 232, after
         # release.  Lane 1's rotation is 2, so the control character it

@@ -233,9 +233,11 @@ class TestArrayInputRange:
         lambda: sc.descramble_octets(5, np.array([300, 2])),
         lambda: sc.scramble_octets(5, np.array([-1, 2])),
         lambda: sc.scramble_octets(5, np.array([44.0, 2.0])),
+        lambda: sc.scramble_words_batch(np.array([1.5]), np.array([3])),
+        lambda: sc.descramble_words_batch(np.array([1.5]), np.array([3])),
     ], ids=["word-above-32-bits", "negative-word", "float-words",
             "float-words-descramble", "octet-above-255", "negative-octet",
-            "float-octets"])
+            "float-octets", "float-states", "float-states-descramble"])
     def test_out_of_range_or_non_integer_rejected(self, call):
         with pytest.raises(ValueError):
             call()
@@ -256,3 +258,6 @@ class TestArrayInputRange:
             narrow = fn(states.astype(np.uint32), words.astype(np.uint32))
             assert all(a.dtype == np.uint32 and (a == b).all()
                        for a, b in zip(wide, narrow))
+            for empty in ([], np.zeros(0, np.uint32)):
+                assert all(a.dtype == np.uint32 and a.size == 0
+                           for a in fn(empty, []) + fn([], empty))

@@ -66,6 +66,21 @@ class TestSetupErrors:
         with pytest.raises(SimConfigError, match="duration"):
             run_simulation(CFG, duration=0)
 
+    @pytest.mark.parametrize("duration", [np.int64(300), True, 100.5],
+                             ids=["numpy-int64", "bool", "float"])
+    def test_non_int_duration_is_config_error(self, duration):
+        # Accepted, these failed later: a TypeError in report.to_json(),
+        # a one-cycle run reported as "duration_cycles": true, or a
+        # TypeError from a slice.
+        with pytest.raises(SimConfigError, match="duration"):
+            run_simulation(LinkConfig(L=2, F=4, K=32), duration=duration)
+
+    @pytest.mark.parametrize("n_trials", [True, 2.5, np.int64(2), 0],
+                             ids=["bool", "float", "numpy-int64", "zero"])
+    def test_n_trials_must_be_a_positive_int(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            measure_latency_determinism(CFG, n_trials)
+
     @pytest.mark.parametrize("name,make", [
         ("channels", lambda: PayloadSpec(channels=np.int64(4))),
         ("seed", lambda: PayloadSpec(seed=np.int64(7))),
