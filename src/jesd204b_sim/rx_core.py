@@ -190,7 +190,7 @@ class RxReceiver:
         fk = self.cfg.fk
         flagged = np.zeros(n, dtype=bool)
         for lane in chars:
-            flagged |= (lane.view(np.uint64) & _CYCLE_FLAGS) != 0
+            flagged |= (np.ascontiguousarray(lane).view(np.uint64) & _CYCLE_FLAGS) != 0
         must_step = flagged.copy()
         must_step[1:] |= flagged[:-1]
         must_step[:1] = True
@@ -239,7 +239,8 @@ class RxReceiver:
     def step_packed(self, words: Sequence[tuple[int, int, int, int]],
                     sysref: bool = False
                     ) -> tuple[tuple[int, int, int, int], ...] | None:
-        """Advance one cycle on packed characters (octet | flags << 8).
+        """Advance one cycle on packed characters (octet | flags << 8) with
+        SYSREF at level ``sysref``; a rising edge realigns the LMFC phase.
 
         Returns one output word of four octets per lane while the
         buffers are released, otherwise None.

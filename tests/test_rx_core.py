@@ -493,6 +493,15 @@ class TestReceive:
         with pytest.raises(ValueError, match="uint16 arrays"):
             RxReceiver(CFG).receive(chars, SysrefSpec())
 
+    def test_strided_lanes_read_like_copies(self):
+        # A strided view is a uint16 array like any other; the flag scan
+        # used to fail on it in numpy's view().
+        wide = np.full(800, K_PACKED, np.uint16)
+        strided, copied = RxReceiver(CFG), RxReceiver(CFG)
+        assert (strided.receive([wide[::2]] * 2, SysrefSpec())
+                == copied.receive([wide[:400].copy()] * 2, SysrefSpec()))
+        assert strided.events == copied.events and strided.cycle == 99
+
     def test_a_flag_in_the_rotation_residue_steps(self):
         # Bit 9305 of lane 1 is bit 5 of character 2 of cycle 232, after
         # release.  Lane 1's rotation is 2, so the control character it
