@@ -14,22 +14,37 @@ function of the configuration and seeds, so identical inputs give
 byte-identical reports and event logs.
 
 Payload correctness is judged against the transmitter's deterministic
-sample generator, regenerated slice by slice, never against anything
-the receiver produced.  The channel prepends ``base_idle_octets`` of
-idle filler (plus the per-lane skew) so every lane sees an
-idle-to-comma transition; the receiver anchors its octet rotation
-there.
+sample generator, never against anything the receiver produced: the
+oracle slices the octets the transmitter generated for its last span
+and regenerates only the rest.  The channel prepends
+``base_idle_octets`` of idle filler (plus the per-lane skew) so every
+lane sees an idle-to-comma transition; the receiver anchors its octet
+rotation there.
 
 The link runs in bounded chunks of cycles, so memory stays flat however
-long the run.  Within a chunk the sync request is held, the transmitter,
-channel and codec run vectorized, and :meth:`.RxReceiver.receive`
-takes the decoded characters: flag-free stretches of a released link
-through its vectorized fast path (``fast=True``), everything else cycle
-by cycle.  When the receiver changes its sync request the chunk is cut
-there, and the transmitter, both running disparities and the
-line are rewound to that cycle.  Bit errors depend only on the seed,
+long the run, and a chunk's per-lane temporaries fit the cache.  Within
+a chunk the sync request is held, the transmitter, channel and codec
+run vectorized, and :meth:`.RxReceiver.receive` takes the decoded
+characters: flag-free stretches of a released link through its
+vectorized fast path (``fast=True``), everything else cycle by cycle.
+When the receiver changes its sync request the chunk is cut there, and
+the transmitter, both running disparities and the line are rewound to
+that cycle.  Bit errors depend only on the seed,
 lane and cycle, so a rewind never redraws them.  The test suite asserts
 that stepped, fast and replayed runs agree byte for byte.
+
+A fast run codes only what the line can change.  On a lane span with
+no flips, only data octets (always encodable) and equal encoder and
+decoder disparities on entry, decoding the encoding returns every
+character unflagged and leaves the decoder at the encoder's disparity:
+each symbol is balanced, keeping the disparity, or sets it by its own
+sign.  Such a span passes the characters straight to the receiver and
+advances both disparities by the parity of its ``ENC_FLIP`` count.
+Bring-up, ILAS, spans with a flip, spans entered with split disparities
+(a flip near the previous span's end can leave them so) and every span
+of a stepped run or of one that collects the received symbols keep the
+full codec.  The scrambler always runs, so the oracle still checks the
+whole data path against the generator.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from .tx_model import PayloadSpec, TxLink, lane_payload_octets
 
 BITS_PER_CYCLE = 40
 
-_TAIL_CHUNK_CYCLES = 1 << 18   # largest chunk; bounds peak memory
+_TAIL_CHUNK_CYCLES = 1 << 16   # largest chunk; its temporaries fit the cache
 _FIRST_CHUNK_CYCLES = 64       # chunk length after each sync-request change
 _FLIP_DRAW_CYCLES = 1 << 14    # cycles of bit-error draws per generator call
 
@@ -259,10 +274,18 @@ class _BitErrors:
 class SegmentCheck:
     """One output segment, compared as it arrives against the generator
     from lane octet ``m0`` (unless ``payload`` is None), kept if ``store``.
-    Every lane releases in lockstep, so ``off`` octets have arrived per lane."""
+    Every lane releases in lockstep, so ``off`` octets have arrived per lane.
 
-    def __init__(self, payload: PayloadSpec | None, lanes: int, m0: int, store: bool):
+    With ``tx``, the expected octets that its ``payload_window`` holds are
+    sliced from it, and only the rest are generated: the window is the
+    generator's output before scrambling, the transmit side's truth, so
+    the output is still never compared with anything the receiver made.
+    """
+
+    def __init__(self, payload: PayloadSpec | None, lanes: int, m0: int, store: bool,
+                 tx: TxLink | None = None):
         self.payload = payload
+        self.tx = tx
         self.lanes = lanes
         self.m0 = m0
         self.off = 0
@@ -276,13 +299,29 @@ class SegmentCheck:
         count = outs[0].shape[0]
         for lane, (got, kept) in enumerate(zip(outs, self.stored)):
             if self.payload is not None:
-                exp = lane_payload_octets(self.payload, self.lanes, lane,
-                                          self.m0 + self.off, count)
+                exp = self._expected(lane, self.m0 + self.off, count)
                 self.compared += count
                 self.mismatched += int(np.count_nonzero(got != exp))
             if self.store:
                 kept.append(got)
         self.off += count
+
+    def _expected(self, lane: int, start: int, count: int) -> np.ndarray:
+        """Lane octets ``start .. start+count`` of the payload."""
+        end = start + count
+        if self.tx is not None:
+            w0, kept = self.tx.payload_window
+            lo, hi = max(start, w0), min(end, w0 + kept[lane].shape[0])
+            if lo < hi:
+                parts = [kept[lane][lo - w0: hi - w0]]
+                if lo > start:
+                    parts.insert(0, lane_payload_octets(self.payload, self.lanes, lane,
+                                                        start, lo - start))
+                if end > hi:
+                    parts.append(lane_payload_octets(self.payload, self.lanes, lane,
+                                                     hi, end - hi))
+                return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return lane_payload_octets(self.payload, self.lanes, lane, start, count)
 
     def arrays(self) -> list[np.ndarray]:
         return [np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)
@@ -350,7 +389,7 @@ class Simulation:
             sync = rx.sync_request
             released = rx.released
             state = (tx.snapshot(), self._line, self._rd)
-            chars, line, lane_flips = self._advance(t, n, sync, flips)
+            chars, line, lane_flips = self._advance(t, n, sync, flips, fast)
             done, fast_cycles, outputs = rx.receive(chars, self.sysref, fast,
                                                     stop_on_sync_change=True)
             # Output is checked once the chunk's input arrays are freed.
@@ -361,7 +400,7 @@ class Simulation:
                     if not segments:
                         t_data = data_cycle
                     segments.append(SegmentCheck(self.payload, lanes, m0,
-                                                 self.collect_output))
+                                                 self.collect_output, tx))
                 for outs in pieces:
                     segments[-1].absorb(outs)
             fast_used = fast_used or fast_cycles > 0
@@ -370,7 +409,7 @@ class Simulation:
                 # built on the old request, so rewind to the change.
                 snap, self._line, self._rd = state
                 tx.restore(snap)
-                line, lane_flips = self._advance(t, done, sync, flips)[1:]
+                line, lane_flips = self._advance(t, done, sync, flips, fast)[1:]
                 chunk = _FIRST_CHUNK_CYCLES
             else:
                 chunk = min(2 * chunk, _TAIL_CHUNK_CYCLES)
@@ -392,8 +431,8 @@ class Simulation:
         return self._build_report(duration, fast_used, t_data,
                                   flips_injected, flips_pre_release, received)
 
-    def _advance(self, t0: int, n_cycles: int, sync: bool, flips: _BitErrors
-                 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    def _advance(self, t0: int, n_cycles: int, sync: bool, flips: _BitErrors,
+                 fast: bool) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
         """Transmitter, line and codec for cycles [t0, t0 + n_cycles), with
         the receiver's sync request held at ``sync``.
 
@@ -401,26 +440,39 @@ class Simulation:
         and moves ``_line`` and ``_rd`` to the end of the span.  Returns
         per lane the packed decoded characters, the line symbols (only
         when collected) and the flip positions relative to the span.
+
+        With ``fast`` and no symbols to collect, a flip-free lane span of
+        data octets entered at one disparity skips the codec (see the
+        module docstring).
         """
         line = self.tx.emit(n_cycles, sync,
                             self.sysref.first_tx_boundary(t0, n_cycles, self.cfg.fk))
         count = OCTETS_PER_CYCLE * n_cycles
+        skip = fast and not self.collect_received
         chars, symbols, lane_flips, rd = [], [], [], []
         for lane, (enc_rd, dec_rd) in enumerate(self._rd):
             stream = np.concatenate([self._line[lane], line[lane]])
-            syms, enc_rd = codec.encode_stream(stream[:count], enc_rd)
-            # Copy what stays in flight, then free the stream: lowest peak RSS.
+            # Copy what stays in flight, so the stream lives only as long as
+            # the characters that leave the line: lowest peak RSS.
             line[lane] = stream[count:].copy()
+            lane_chars = stream[:count]
             del stream
             pos = flips.take(lane, BITS_PER_CYCLE * t0,
                              BITS_PER_CYCLE * (t0 + n_cycles)) - BITS_PER_CYCLE * t0
-            if pos.shape[0]:
-                np.bitwise_xor.at(syms, pos // 10,
-                                  (1 << (9 - pos % 10)).astype(np.uint16))
-            lane_chars, dec_rd = codec.decode_stream(syms, dec_rd)
+            if (skip and not pos.shape[0] and enc_rd == dec_rd
+                    and lane_chars.max(initial=0) < codec.CTRL_FLAG):
+                enc_rd = dec_rd = enc_rd ^ (
+                    int(np.count_nonzero(np.take(codec.ENC_FLIP, lane_chars))) & 1)
+            else:
+                syms, enc_rd = codec.encode_stream(lane_chars, enc_rd)
+                del lane_chars   # the stream, freed before decoding
+                if pos.shape[0]:
+                    np.bitwise_xor.at(syms, pos // 10,
+                                      (1 << (9 - pos % 10)).astype(np.uint16))
+                lane_chars, dec_rd = codec.decode_stream(syms, dec_rd)
+                if self.collect_received:
+                    symbols.append(syms)
             chars.append(lane_chars)
-            if self.collect_received:
-                symbols.append(syms)
             lane_flips.append(pos)
             rd.append((enc_rd, dec_rd))
         self._line, self._rd = line, rd
@@ -545,6 +597,10 @@ def measure_latency_determinism(cfg: LinkConfig, n_trials: int,
     validate_config(cfg)
     if skew_range is None:
         skew_range = (0, cfg.fk // 2)
+    elif not (isinstance(skew_range, (tuple, list)) and len(skew_range) == 2
+              and all(is_int(s) for s in skew_range) and 0 <= skew_range[0] <= skew_range[1]):
+        raise ValueError("skew_range must be two ints (lo, hi) with 0 <= lo <= hi, "
+                         f"got {skew_range!r}")
     rng = np.random.default_rng(seed)
     base_sysref = sysref or SysrefSpec()
     channel = channel or ChannelSpec()

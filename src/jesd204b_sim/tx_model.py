@@ -166,6 +166,10 @@ class TxLink:
         self.scr_states = [scrambler.ALL_ONES] * self.cfg.L
         # (lane octet index, cycle) of the first payload octet of each DATA entry
         self.data_segments: list[tuple[int, int]] = []
+        # (first lane octet index, unscrambled octets per lane) of the last
+        # bulk_data call: generator output, kept for the payload oracle
+        self.payload_window: tuple[int, list[np.ndarray]] = (
+            0, [np.zeros(0, np.uint8)] * self.cfg.L)
 
     def snapshot(self) -> tuple:
         """The emission state, to hand back to :meth:`restore`."""
@@ -223,19 +227,22 @@ class TxLink:
         """Emit ``n_cycles`` worth of data-phase octets per lane.
 
         Only legal in the data phase; threads the payload position and the
-        scrambler states from one call to the next.
+        scrambler states from one call to the next.  The unscrambled octets
+        stay in ``payload_window`` until the next call.
         """
         if self.phase != PHASE_DATA:
             raise RuntimeError("bulk_data is only valid in the data phase")
         count = n_cycles * OCTETS_PER_CYCLE
         start = self.lane_octets_sent
-        out = []
+        out, raws = [], []
         for lane in range(self.cfg.L):
             raw = lane_payload_octets(self.payload, self.cfg.L, lane, start, count)
+            raws.append(raw)
             if self.cfg.scrambling:
                 self.scr_states[lane], raw = scrambler.scramble_octets(
                     self.scr_states[lane], raw)
             out.append(raw)
+        self.payload_window = (start, raws)
         self.lane_octets_sent = start + count
         self.cycle += n_cycles
         return out

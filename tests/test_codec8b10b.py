@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jesd204b_sim.codec8b10b import (CONTROL_OCTETS, CTRL_FLAG, DERR_FLAG,
-                                     NIT_FLAG, POP10, RD_NEG, RD_POS,
+                                     ENC_FLIP, NIT_FLAG, POP10, RD_NEG, RD_POS,
                                      InvalidControlCode, NoCommaFound,
                                      bit_align, decode_octet, decode_stream,
                                      encode_octet, encode_stream, serialize)
@@ -43,10 +43,24 @@ class TestPublishedValues:
 
 class TestRoundTrip:
     def test_exhaustive_all_codes_both_disparities(self):
+        # Unflagged, at the encoder's disparity: with the stream test
+        # below, why the harness may pass a clean span of data octets
+        # straight through when both disparities agree.
         for rd in (RD_NEG, RD_POS):
             for char in [*range(256), *(CTRL_FLAG | k for k in K_CODES)]:
                 sym, rd_out = encode_octet(char, rd)
                 assert decode_octet(sym, rd) == (char, rd_out)
+                assert rd_out == rd ^ int(ENC_FLIP[char])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_data_streams_come_back_at_the_encoders_disparity(self, seed):
+        rng = np.random.default_rng(seed)
+        for rd in (RD_NEG, RD_POS):
+            chars = rng.integers(0, 256, int(rng.integers(1, 5000)), dtype=np.uint16)
+            syms, enc_rd = encode_stream(chars, rd)
+            out, dec_rd = decode_stream(syms, rd)
+            assert np.array_equal(out, chars)
+            assert dec_rd == enc_rd == rd ^ (int(np.count_nonzero(ENC_FLIP[chars])) & 1)
 
     def test_rd_evolution_matches_symbol_imbalance(self):
         # The encoder's next disparity must equal what the symbol's own

@@ -81,6 +81,14 @@ class TestSetupErrors:
         with pytest.raises(ValueError, match="n_trials"):
             measure_latency_determinism(CFG, n_trials)
 
+    @pytest.mark.parametrize("skew_range", [(5, 2), (0.5, 3), (True, 3), (-3, 4)],
+                             ids=["reversed", "float", "bool", "negative"])
+    def test_skew_range_must_be_ordered_non_negative_ints(self, skew_range):
+        # Accepted, these failed inside numpy ("low >= high") or ran with
+        # a float, bool or negative skew bound.
+        with pytest.raises(ValueError, match="skew_range"):
+            measure_latency_determinism(CFG, 1, skew_range=skew_range)
+
     @pytest.mark.parametrize("name,make", [
         ("channels", lambda: PayloadSpec(channels=np.int64(4))),
         ("seed", lambda: PayloadSpec(seed=np.int64(7))),
@@ -357,6 +365,43 @@ class TestFastPathEquivalence:
             sh._TAIL_CHUNK_CYCLES = old
         assert rep.fast_path_used and rep.payload_match
 
+    def test_codec_skip_needs_equal_disparities(self, monkeypatch):
+        # A flip in a chunk's last symbols can leave the decoder's disparity
+        # off the encoder's at the chunk end.  The next, flip-free chunk
+        # must then run the codec, which flags its first unbalanced symbol;
+        # passing it straight through would hide that error.
+        import jesd204b_sim.sim_harness as sh
+        monkeypatch.setattr(sh, "_TAIL_CHUNK_CYCLES", 1024)
+        starts = []
+        advance = Simulation._advance
+
+        def recording(self, t0, n_cycles, *args):
+            if n_cycles == 1024:
+                starts.append(t0)
+            return advance(self, t0, n_cycles, *args)
+
+        channel = ChannelSpec(skew=[1, 6])
+        monkeypatch.setattr(Simulation, "_advance", recording)
+        Simulation(CFG, payload=PAY, channel=channel).run(4000)
+        monkeypatch.setattr(Simulation, "_advance", advance)
+        ends = [t0 + 1024 for t0 in starts[:2]]
+        assert len(ends) == 2
+        for end in ends:
+            for lane in range(CFG.L):
+                for k in range(8):   # the last bit of symbol 4 * end - 1 - k
+                    flipped = dataclasses.replace(
+                        channel, error_positions=[(lane, 40 * end - 10 * k - 1)])
+                    sims = [Simulation(CFG, payload=PAY, channel=flipped,
+                                       collect_output=True) for _ in range(2)]
+                    reps = [dataclasses.asdict(sim.run(ends[-1] + 1024, fast=fast))
+                            for sim, fast in zip(sims, (True, False))]
+                    for rep in reps:
+                        rep.pop("fast_path_used")
+                    assert reps[0] == reps[1], (end, lane, k)
+                    for seg_a, seg_b in zip(sims[0].segments, sims[1].segments):
+                        for a, b in zip(seg_a.arrays(), seg_b.arrays()):
+                            assert np.array_equal(a, b), (end, lane, k)
+
 
 class TestSyncTimeBound:
     def test_clean_sync_within_documented_budget(self):
@@ -418,3 +463,22 @@ class TestLongRunSmoke:
         assert rep.payload_match and rep.resync_count == 0
         assert rep.payload_octets_compared > 3_900_000
         assert sum(rep.error_counts.values()) == 0
+
+    def test_memory_bounded_on_the_clean_tail(self):
+        # Both runs reach the real chunk cap, so a longer clean run may
+        # not need more memory.
+        import tracemalloc
+
+        def peak(cycles):
+            sim = Simulation(CFG, payload=PAY, channel=ChannelSpec(skew=[5, 38]))
+            tracemalloc.start()
+            try:
+                rep = sim.run(cycles)
+                return tracemalloc.get_traced_memory()[1], rep
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(1 << 18)
+        large, rep = peak(1 << 20)
+        assert rep.payload_match and rep.fast_path_used and rep.resync_count == 0
+        assert large <= 1.25 * small

@@ -155,6 +155,30 @@ class TestTimeline:
         tx.restore(state)
         assert tx.data_segments == [(0, 143)] and tx.cycle == 230
 
+    def test_payload_window_is_the_generators_output(self):
+        pay = PayloadSpec(kind="random", seed=11, channels=4)
+        tx = TxLink(CFG, payload=pay)
+
+        def window():
+            start, kept = tx.payload_window
+            for lane, octets in enumerate(kept):
+                assert np.array_equal(octets, lane_payload_octets(
+                    pay, CFG.L, lane, start, octets.shape[0]))
+            return start, kept[0].shape[0]
+
+        tx.emit(10, True, None)
+        tx.emit(200, False, 5)            # data from cycle 143
+        assert window() == (0, 4 * (210 - 143))
+        tx.emit(50, False, None)
+        assert window() == (268, 200)
+        state = tx.snapshot()
+        tx.emit(30, False, None)
+        assert window() == (468, 120)
+        tx.restore(state)
+        assert window() == (468, 120)     # still the generator's octets
+        tx.emit(7, False, None)
+        assert window() == (468, 28)
+
 
 class TestDeterminism:
     def test_reset_reproduces_state(self):
