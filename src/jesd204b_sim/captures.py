@@ -18,6 +18,16 @@ exactly as written, except that CRLF line ends and a missing final
 newline are accepted: padding, a blank line or a row of the wrong width
 is an error naming its lane and row.  Write then read is the identity.
 
+A capture is read as bytes.  The file is mapped read-only, or read once
+where it cannot be mapped (an empty file, a pipe or FIFO); only a file
+holding a CR is copied, with CRLF and then a lone CR turned into LF, as
+a text-mode read would.  Only the header is decoded as ASCII.  Each lane's
+rows are a view of the buffer, decoded in blocks of ``_BLOCK_ROWS`` rows
+through per-column tables of each byte's share of the row's value, so
+reading holds the returned lanes plus one block of work space.  A
+non-ASCII byte is an error like any other: in the header it makes a
+malformed header, in a row it is reported with the row's lane and number.
+
 Decoded samples are emitted as CSV with the fixed header
 ``sample_index,channel,value``: 16-bit values, dense and ordered by flat
 sample index (sample j of the stream carries channel ``j mod C``).
@@ -26,6 +36,7 @@ sample index (sample j of the stream carries channel ``j mod C``).
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +50,16 @@ CAPTURE_FORMATS = (FORMAT_SYMBOL10, FORMAT_OCTET_FLAG)
 
 SAMPLE_CSV_HEADER = "sample_index,channel,value"
 
-_MAGIC = "# jesd204b-sim capture v1"
-_LANE = "\n# lane "
+_MAGIC = b"# jesd204b-sim capture v1"
+_LANE = b"\n# lane "
+_BLOCK_ROWS = 1 << 16   # rows decoded per pass of the share tables
 
 
 def _row_table(columns: list, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """A format's rows, each ending in a newline, and per column the part
     of the row's value each byte stands for (-1 where it is not allowed)."""
     rows = np.stack([*columns, np.full_like(columns[0], ord("\n"))], axis=1).astype(np.uint8)
-    shares = np.full((rows.shape[1], 256), -1, dtype=np.int32)
+    shares = np.full((rows.shape[1], 256), -1, dtype=np.int16)
     for col, mask in enumerate([*masks, 0]):
         shares[col, rows[:, col]] = np.arange(rows.shape[0]) & mask
     return rows, shares
@@ -95,26 +107,41 @@ def write_capture(path: str, cap: Capture) -> None:
     for v in values:
         check_range(v, 0x3FF if cap.fmt == FORMAT_SYMBOL10 else 0x7FF, _FIELD[cap.fmt])
     rows, _ = _TABLES[cap.fmt]
-    # Masking to the table drops an octet_flag character's error flags.
-    lanes = [rows[v & (rows.shape[0] - 1)] for v in values]
     with open(path, "wb") as fh:
-        fh.write(f"{_MAGIC}\n# format: {cap.fmt}\n"
+        fh.write(f"{_MAGIC.decode()}\n# format: {cap.fmt}\n"
                  f"# config: {json.dumps(cap.config.to_dict(), sort_keys=True)}\n"
-                 f"# seed: {cap.seed}\n# lanes: {len(lanes)}\n".encode("ascii"))
-        for lane, table in enumerate(lanes):
-            fh.write(f"# lane {lane}\n".encode("ascii") + table.tobytes())
+                 f"# seed: {cap.seed}\n# lanes: {len(values)}\n".encode("ascii"))
+        for lane, v in enumerate(values):
+            fh.write(f"# lane {lane}\n".encode("ascii"))
+            # Masking to the table drops an octet_flag character's error flags.
+            fh.write(rows[v & (rows.shape[0] - 1)])
 
 
 def read_capture(path: str) -> Capture:
     """Parse a capture; the embedded configuration must validate."""
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    head, found, body = text.removesuffix("\n").partition(_LANE)
-    lines = head.split("\n")
-    if lines[0] != _MAGIC:
+    buf = _file_bytes(path)
+    if buf.find(b"\r") >= 0:   # as a text-mode read translates line ends
+        buf = buf[:].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if buf[-1:] != b"\n":
+        buf = buf[:] + b"\n"
+    end = len(buf) - 1   # the final newline, which ends the last row
+    starts = []          # of each lane section's label
+    at = buf.find(_LANE, 0, end)
+    head = buf[: at if at >= 0 else end]
+    while at >= 0:
+        starts.append(at + len(_LANE))
+        at = buf.find(_LANE, starts[-1], end)
+
+    if head.split(b"\n", 1)[0] != _MAGIC:
         raise ParseError("not a capture file (missing magic line)")
+    try:
+        lines = head.decode("ascii").split("\n")[1:]
+    except UnicodeDecodeError as exc:
+        line = head.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"malformed capture header: non-ASCII byte "
+                         f"{head[exc.start]:#04x} in line {line}") from exc
     meta: dict[str, str] = {}
-    for line in lines[1:]:
+    for line in lines:
         key, colon, value = line.partition(":")
         if not (key.startswith("#") and colon):
             raise ParseError(f"malformed capture header line {line!r}")
@@ -132,38 +159,62 @@ def read_capture(path: str) -> Capture:
     if lanes != cfg.L:
         raise ParseError(f"capture has {lanes} lanes but its config has L={cfg.L}")
 
-    # Splitting at the lane markers takes each section's final newline.
-    sections = [section + "\n" for section in body.split(_LANE)] if found else []
-    if len(sections) != lanes:
-        raise ParseError(f"expected {lanes} lane sections, found {len(sections)}")
+    if len(starts) != lanes:
+        raise ParseError(f"expected {lanes} lane sections, found {len(starts)}")
+    # A section ends at the newline before the next marker, or the final one.
+    stops = [start - len(_LANE) + 1 for start in starts[1:]] + [end + 1]
     values = []
-    for lane, section in enumerate(sections):
-        label, _, rows = section.partition("\n")
-        if label != str(lane):
-            raise ParseError(f"lane section {lane} is labelled {label!r}")
-        values.append(_row_values(lane, rows, fmt))
+    for lane, (start, stop) in enumerate(zip(starts, stops)):
+        rows = buf.find(b"\n", start, stop) + 1
+        label = buf[start : rows - 1]
+        if label != str(lane).encode():
+            raise ParseError(f"lane section {lane} is labelled "
+                             f"{label.decode('ascii', 'replace')!r}")
+        values.append(_row_values(lane, buf, rows, stop, fmt))
     return Capture(fmt, cfg, seed, **{_FIELD[fmt]: values})
 
 
-def _row_values(lane: int, rows: str, fmt: str) -> np.ndarray:
-    """Values of one lane's rows, read as an (n, width) byte table.  Rows
-    before the first malformed line fill whole table rows, so the first
-    failing table row (or else the remainder) is that line."""
+def _file_bytes(path: str):
+    """The file's bytes: mapped read-only, or read once where a file cannot
+    be mapped (an empty file, a pipe or FIFO).  A map is unmapped when its
+    last view goes, so the caller keeps none past its return."""
+    with open(path, "rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return fh.read()
+
+
+def _row_values(lane: int, buf, start: int, stop: int, fmt: str) -> np.ndarray:
+    """Values of one lane's rows, ``buf[start:stop]``, read as an (n, width)
+    byte table in blocks of rows.  Rows before the first malformed line
+    fill whole table rows, so the first failing table row (or else the
+    remainder) is that line."""
     _, shares = _TABLES[fmt]
     width = shares.shape[0]
-    raw = np.frombuffer(rows.encode("ascii"), dtype=np.uint8)
-    n, extra = divmod(raw.shape[0], width)
-    values = np.zeros(n, dtype=np.int32)
-    for lut, column in zip(shares, raw[: n * width].reshape(n, width).T):
-        values |= np.take(lut, column)  # a bad byte's -1 sets every bit
-    bad = np.flatnonzero(values < 0)
-    if extra or bad.size:
-        k = int(bad[0]) if bad.size else n
+    n, extra = divmod(stop - start, width)
+    table = np.frombuffer(buf, dtype=np.uint8, count=n * width, offset=start).reshape(n, width)
+    values = np.empty(n, dtype=np.int16)
+    columns = np.empty((width, min(n, _BLOCK_ROWS)), dtype=np.uint8)
+    share = np.empty(columns.shape[1], dtype=np.int16)
+    k = n
+    for first in range(0, n, _BLOCK_ROWS):
+        block = values[first : first + _BLOCK_ROWS]
+        cols = columns[:, : block.shape[0]]
+        np.copyto(cols, table[first : first + _BLOCK_ROWS].T)
+        np.take(shares[0], cols[0], out=block, mode="clip")
+        for lut, column in zip(shares[1:], cols[1:]):
+            block |= np.take(lut, column, out=share[: block.shape[0]], mode="clip")
+        if block.min() < 0:   # a bad byte's -1 sets every bit
+            k = first + int(np.flatnonzero(block < 0)[0])
+            break
+    if extra or k < n:
         expected = ("10 binary digits" if fmt == FORMAT_SYMBOL10
                     else "two hex digits, a space and K or D")
-        row = rows.split("\n")[k]
+        at = start + k * width
+        row = buf[at : buf.find(b"\n", at, stop)].decode("ascii", "replace")
         raise ParseError(f"lane {lane} row {k}: expected {expected}, got {row!r}")
-    return values.astype(np.uint16)
+    return values.view(np.uint16)
 
 
 def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,

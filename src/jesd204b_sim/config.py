@@ -194,8 +194,6 @@ def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
     fk = cfg.F * cfg.K
     if not 17 <= fk <= 1024:
         bad("FK-range", fk, "17..1024")
-    if fk % 4 != 0:
-        bad("FK-multiple-of-4", fk, "F*K mod 4 == 0")
 
     if cfg.buffer_depth < fk // 2:
         bad("buffer-depth-min", cfg.buffer_depth, f">= F*K/2 = {fk // 2}")

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from jesd204b_sim.captures import (FORMAT_OCTET_FLAG, FORMAT_SYMBOL10, Capture,
                                    read_capture, sample_rows, write_capture)
 from jesd204b_sim.cli import EXIT_OK, decode_capture, main
 from jesd204b_sim.codec8b10b import serialize
-from jesd204b_sim.config import LinkConfig
+from jesd204b_sim.config import LinkConfig, ParseError
 from jesd204b_sim.sim_harness import ChannelSpec, Simulation
 
 # sha256 of `gen --cycles 1500` output, recorded before the capture
@@ -154,3 +157,116 @@ def test_replay_at_every_bit_phase(live_run, k):
     for got, want in zip(segments[0].arrays(), unshifted):
         assert got.shape[0] == want.shape[0] - (4 if k else 0)
         assert np.array_equal(got, want[: got.shape[0]])
+
+
+# Reader parity: each case edits a small capture; the values or the exact
+# ParseError text were recorded from the text-mode reader that the
+# byte-level reader replaced.
+def _small_captures(tmp_path):
+    sym, octs = tmp_path / "base.sym", tmp_path / "base.oct"
+    write_capture(str(sym), Capture(FORMAT_SYMBOL10, LinkConfig(L=2, F=4, K=32), 3, symbols=[
+        np.array([469, 0, 1023]), np.array([0x155, 1, 512])]))
+    write_capture(str(octs), Capture(FORMAT_OCTET_FLAG, LinkConfig(L=1, F=4, K=32), 5, chars=[
+        np.array([0x4A, 0x1BC, 0xFF])]))
+    return sym.read_bytes(), octs.read_bytes()
+
+
+SYMBOLS = (FORMAT_SYMBOL10, 3, [[469, 0, 1023], [341, 1, 512]])
+ROW = "lane {} row {}: expected 10 binary digits, got {!r}"
+PARITY = {
+    "empty": (lambda s, o: b"", "not a capture file (missing magic line)"),
+    "no-magic": (lambda s, o: s.split(b"\n", 1)[1], "not a capture file (missing magic line)"),
+    "junk-header": (lambda s, o: s.replace(b"\n", b"\njunk\n", 1),
+                    "malformed capture header line 'junk'"),
+    "header-only": (lambda s, o: s[: s.index(b"# lane 0\n")], "expected 2 lane sections, found 0"),
+    "missing-lane": (lambda s, o: s[: s.index(b"# lane 1\n")], "expected 2 lane sections, found 1"),
+    "extra-lane": (lambda s, o: s + b"# lane 2\n0111010101\n", "expected 2 lane sections, found 3"),
+    "bad-row-and-missing-lane": (
+        lambda s, o: s[: s.index(b"# lane 1\n")].replace(b"0000000000", b"000000000x"),
+        "expected 2 lane sections, found 1"),
+    "mislabelled": (lambda s, o: s.replace(b"# lane 1\n", b"# lane 01\n"),
+                    "lane section 1 is labelled '01'"),
+    "label-space": (lambda s, o: s.replace(b"# lane 1\n", b"# lane 1 \n"),
+                    "lane section 1 is labelled '1 '"),
+    "short-last-row": (lambda s, o: s[:-2] + b"\n", ROW.format(1, 2, "100000000")),
+    "trailing-byte": (lambda s, o: s + b"0", ROW.format(1, 3, "0")),
+    "blank-last-line": (lambda s, o: s + b"\n", ROW.format(1, 3, "")),
+    "crlf-blank-last-line": (lambda s, o: s.replace(b"\n", b"\r\n") + b"\r\n",
+                             ROW.format(1, 3, "")),
+    "bad-digit": (lambda s, o: s.replace(b"0000000000\n", b"0000000200\n", 1),
+                  ROW.format(0, 1, "0000000200")),
+    "padded-row": (lambda s, o: s.replace(b"0000000000\n", b"0000000000 \n", 1),
+                   ROW.format(0, 1, "0000000000 ")),
+    "lowercase-flag": (lambda s, o: o.replace(b"BC K", b"BC k"),
+                       "lane 0 row 1: expected two hex digits, a space and K or D, got 'BC k'"),
+    "crlf": (lambda s, o: s.replace(b"\n", b"\r\n"), SYMBOLS),
+    "lone-cr": (lambda s, o: s.replace(b"\n", b"\r"), SYMBOLS),
+    "no-final-newline": (lambda s, o: s[:-1], SYMBOLS),
+    "empty-lane": (lambda s, o: s[: s.index(b"# lane 1\n")] + b"# lane 1\n",
+                   (FORMAT_SYMBOL10, 3, [[469, 0, 1023], []])),
+    "lowercase-hex": (lambda s, o: o.replace(b"4A D", b"4a D").replace(b"BC K", b"bC K")
+                      .replace(b"FF D", b"ff D"), (FORMAT_OCTET_FLAG, 5, [[74, 444, 255]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY))
+def test_reader_parity(tmp_path, case):
+    edit, want = PARITY[case]
+    path = tmp_path / "case.cap"
+    path.write_bytes(edit(*_small_captures(tmp_path)))
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as info:
+            read_capture(str(path))
+        assert str(info.value) == want
+    else:
+        cap = read_capture(str(path))
+        lanes = cap.symbols if cap.fmt == FORMAT_SYMBOL10 else cap.chars
+        assert (cap.fmt, cap.seed, [lane.tolist() for lane in lanes]) == want
+        assert all(lane.dtype == np.uint16 for lane in lanes)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reader_parity_fifo(tmp_path):
+    # A FIFO cannot be mapped; it is read once instead.
+    data, _ = _small_captures(tmp_path)
+    fifo = tmp_path / "cap.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        cap = read_capture(str(fifo))
+    finally:
+        writer.join()
+    assert (cap.fmt, cap.seed, [lane.tolist() for lane in cap.symbols]) == SYMBOLS
+
+
+@pytest.mark.parametrize("at,want", [
+    (b"0000000001\n", ROW.format(1, 1, "000000\ufffd001")),
+    (b"# seed: 3\n", "malformed capture header: non-ASCII byte 0xff in line 4"),
+], ids=["row", "header"])
+def test_non_ascii_byte_is_located(tmp_path, at, want):
+    # It once escaped as a UnicodeDecodeError naming only a file offset.
+    data, _ = _small_captures(tmp_path)
+    path = tmp_path / "bad.cap"
+    path.write_bytes(data.replace(at, at[:6] + b"\xff" + at[7:]))
+    with pytest.raises(ParseError) as info:
+        read_capture(str(path))
+    assert str(info.value) == want
+
+
+def test_read_memory_is_the_arrays_plus_one_block(tmp_path):
+    # The file is mapped, not copied: reading 2^18 rows per lane allocates
+    # the uint16 lanes plus one block of decode buffers.
+    rows = 1 << 18
+    rng = np.random.default_rng(0)
+    symbols = [rng.integers(0, 1024, rows) for _ in range(2)]
+    path = str(tmp_path / "long.cap")
+    write_capture(path, Capture(FORMAT_SYMBOL10, LinkConfig(L=2, F=4, K=32), 0, symbols=symbols))
+    tracemalloc.start()
+    try:
+        cap = read_capture(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(cap.symbols, symbols))
+    assert peak < 3 * 2 * rows + (1 << 20)
