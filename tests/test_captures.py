@@ -209,35 +209,36 @@ PARITY = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PARITY))
-def test_reader_parity(tmp_path, case):
-    edit, want = PARITY[case]
-    path = tmp_path / "case.cap"
-    path.write_bytes(edit(*_small_captures(tmp_path)))
-    if isinstance(want, str):
-        with pytest.raises(ParseError) as info:
-            read_capture(str(path))
-        assert str(info.value) == want
-    else:
+def _outcome(path):
+    """What reading ``path`` gives: (format, seed, lanes) or the error text."""
+    try:
         cap = read_capture(str(path))
-        lanes = cap.symbols if cap.fmt == FORMAT_SYMBOL10 else cap.chars
-        assert (cap.fmt, cap.seed, [lane.tolist() for lane in lanes]) == want
-        assert all(lane.dtype == np.uint16 for lane in lanes)
+    except ParseError as exc:
+        return str(exc)
+    lanes = cap.symbols if cap.fmt == FORMAT_SYMBOL10 else cap.chars
+    assert all(lane.dtype == np.uint16 for lane in lanes)
+    return cap.fmt, cap.seed, [lane.tolist() for lane in lanes]
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_reader_parity_fifo(tmp_path):
+@pytest.mark.parametrize("case", [*sorted(PARITY), pytest.param("fifo", marks=pytest.mark.skipif(
+    not hasattr(os, "mkfifo"), reason="needs named pipes"))])
+def test_reader_parity(tmp_path, case):
+    edit, want = PARITY.get(case, (lambda s, o: s, SYMBOLS))
+    data = edit(*_small_captures(tmp_path))
+    path = tmp_path / "case.cap"
+    if case != "fifo":
+        path.write_bytes(data)
+        assert _outcome(path) == want
+        return
     # A FIFO cannot be mapped; it is read once instead.
-    data, _ = _small_captures(tmp_path)
-    fifo = tmp_path / "cap.fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,))
     writer.start()
     try:
-        cap = read_capture(str(fifo))
+        assert _outcome(path) == want
     finally:
-        writer.join()
-    assert (cap.fmt, cap.seed, [lane.tolist() for lane in cap.symbols]) == SYMBOLS
+        writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("at,want", [
