@@ -174,6 +174,10 @@ def _capture_chars(cap: Capture) -> list[np.ndarray]:
     return [np.asarray(lane[:n_octets], dtype=np.uint16) for lane in lanes]
 
 
+def _resync_before_release(rx: RxReceiver) -> bool:
+    return any(name == "resync" and c < rx.t_release for c, _, name, _ in rx.events)
+
+
 def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
                    payload: PayloadSpec | None = None,
                    ilas: IlasConfig | None = None
@@ -183,18 +187,19 @@ def decode_capture(cap: Capture, sysref: SysrefSpec | None = None,
 
     Returns the receiver and one segment per release, holding its output
     octets per lane.  With ``payload``, segment 0 is compared against
-    the generator from lane octet 0; where the payload stood at a later
-    release is unknown, so later segments are not compared.  Raises
-    :class:`NoSyncAchieved` if group synchronization never completes.
+    the generator from lane octet 0 unless a resync preceded its release
+    (a resync moves the transmitter's next data entry to a later lane
+    octet, which a capture does not carry); later segments never are.
+    Raises :class:`NoSyncAchieved` if group synchronization never completes.
     """
     cfg = cap.config
     rx = RxReceiver(cfg, expected_ilas=ilas)
     n_cycles, _, outputs = rx.receive(_capture_chars(cap), sysref or SysrefSpec())
+    payload = None if _resync_before_release(rx) else payload
     segments = []
-    for _, pieces in outputs:   # a fresh receiver: every segment has its release
+    for _, outs in outputs:   # a fresh receiver: every segment has its release
         segments.append(SegmentCheck(None if segments else payload, cfg.L, 0, True))
-        for outs in pieces:
-            segments[-1].absorb(outs)
+        segments[-1].absorb(outs)
     if rx.t_synced < 0:
         raise NoSyncAchieved(
             f"no synchronization within {n_cycles} captured cycles "
@@ -220,8 +225,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     total = cap.config.L * sum(seg.off for seg in segments)
-    mismatched = segments[0].mismatched if payload is not None and segments else -1
+    mismatched = segments[0].mismatched if segments and segments[0].payload is not None else -1
     if args.dump_samples and segments:
+        if _resync_before_release(rx):
+            print("warning: a resync preceded the first release; sample indices "
+                  "count from lane octet 0", file=sys.stderr)
         channels = args.channels or (payload.channels if payload else 1)
         rows = sample_rows(segments[0].arrays(), cap.config.L, channels)
         write_sample_csv(args.dump_samples, rows)

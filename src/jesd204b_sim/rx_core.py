@@ -28,7 +28,8 @@ CGS with the sync request asserted.
 arrays: flag-free stretches of a released link go through
 :meth:`RxReceiver.fast_forward` in one vectorized pass, leaving the
 receiver exactly as repeated :meth:`~RxReceiver.step_packed` calls would
-(the test suite asserts the equivalence).
+(the test suite asserts the equivalence).  Each output segment is handed
+out once, as one uint8 array per lane joined when the call returns.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ _DATA = 3
 _FLAGS = NIT_FLAG | DERR_FLAG
 # Flag bits of four packed characters viewed as one 64-bit word.
 _CYCLE_FLAGS = np.uint64(0xFF00_FF00_FF00_FF00)
+_NO_OCTETS = np.zeros(0, np.uint8)
 
 
 class LaneState:
@@ -92,11 +94,6 @@ class LaneState:
         self.markers_ok = True
         self.dsc_state = scrambler.ALL_ONES
         self.buffer: deque[int] = deque()
-
-    @property
-    def ready(self) -> bool:
-        """Eligible for release: sequence validated and data in the buffer."""
-        return self.mode == _DATA and len(self.buffer) >= OCTETS_PER_CYCLE
 
 
 _K_CLEAN = K_K | CTRL_FLAG
@@ -175,10 +172,11 @@ class RxReceiver:
         which the sync request changes.
 
         Returns ``(cycles consumed, cycles fast-forwarded, segments)``,
-        the output as ``(release cycle, pieces)`` per segment (cycle -1 for
-        the one open when the call began), each piece one equal-length
-        uint8 array per lane.  Raises ValueError unless ``chars`` holds
-        one uint16 array per lane, all of one length in whole cycles.
+        the output as ``(release cycle, outs)`` per segment (cycle -1 for
+        the one open when the call began), ``outs`` one uint8 array per
+        lane, all of one length (maybe 0).  Raises ValueError unless
+        ``chars`` holds one uint16 array per lane, all of one length in
+        whole cycles.
         """
         if not (len(chars) == self.cfg.L
                 and all(isinstance(c, np.ndarray) and c.dtype == np.uint16
@@ -197,44 +195,36 @@ class RxReceiver:
         step_at = np.flatnonzero(must_step)
 
         sync_before = self.sync_request
-        segments = [(-1, [])] if self.released else []
-        stepped_out: list[list[int]] = [[] for _ in chars]
-
-        def flush() -> None:
-            if stepped_out[0]:
-                segments[-1][1].append([np.array(w, dtype=np.uint8) for w in stepped_out])
-                for words in stepped_out:
-                    words.clear()
-
+        segments = [(-1, [[] for _ in chars])] if self.released else []
         i = fast_cycles = 0
         while i < n:
             if fast and self.released and not must_step[i]:
                 k = int(np.searchsorted(step_at, i))
                 j = int(step_at[k]) if k < step_at.shape[0] else n
-                flush()
-                segments[-1][1].append(self.fast_forward(
+                out = self.fast_forward(
                     [lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * j] for lane in chars],
-                    j - i))
+                    j - i)
                 fast_cycles += j - i
                 i = j
-                continue
-            cycle = self.cycle + 1
-            was_released = self.released
-            words = [tuple(lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * (i + 1)].tolist())
-                     for lane in chars]
-            out = self.step_packed(words, sysref.pulse(cycle, fk))
-            if self.released != was_released:
-                flush()
-                if self.released:
-                    segments.append((cycle, []))
+            else:
+                cycle = self.cycle + 1
+                was_released = self.released
+                words = [tuple(lane[OCTETS_PER_CYCLE * i: OCTETS_PER_CYCLE * (i + 1)].tolist())
+                         for lane in chars]
+                out = self.step_packed(words, sysref.pulse(cycle, fk))
+                if self.released and not was_released:
+                    segments.append((cycle, [[] for _ in chars]))
+                i += 1
             if out is not None:
-                for acc, word in zip(stepped_out, out):
-                    acc.extend(word)
-            i += 1
+                for parts, part in zip(segments[-1][1], out):
+                    parts.append(part)
             if stop_on_sync_change and self.sync_request != sync_before:
                 break
-        flush()
-        return i, fast_cycles, segments
+        # Stepped words are Python ints, all octets: hence the unsafe cast.
+        return i, fast_cycles, [
+            (cycle, [np.concatenate([_NO_OCTETS, *parts], dtype=np.uint8, casting="unsafe")
+                     for parts in lanes])
+            for cycle, lanes in segments]
 
     def step_packed(self, words: Sequence[tuple[int, int, int, int]],
                     sysref: bool = False
@@ -289,7 +279,8 @@ class RxReceiver:
 
         if self.fsm is not RxFsm.SYNCED:
             return None
-        if not self.released and all(l.ready for l in self.lanes):
+        # SYNCED: every lane is in its data phase.
+        if not self.released and all(len(l.buffer) >= OCTETS_PER_CYCLE for l in self.lanes):
             ph = self.lmfc_phase
             if ph <= self.cfg.release_offset < ph + OCTETS_PER_CYCLE:
                 self.released = True
@@ -421,10 +412,7 @@ class RxReceiver:
             if lane.ilas_pos == len(self._ilas_rules):
                 return self._finish_ilas(lane)
             return None
-
-        if lane.mode == _DATA:
-            return self._lane_data_word(lane, word)
-        return None
+        return self._lane_data_word(lane, word)
 
     def _finish_ilas(self, lane: LaneState) -> tuple[int | None, str, str] | None:
         cfg = self.cfg
@@ -504,7 +492,7 @@ class RxReceiver:
             combined = np.concatenate(
                 [np.fromiter(lane.buffer, dtype=np.uint8, count=len(lane.buffer)),
                  plain])
-            outputs.append(combined[:n_oct].copy())
+            outputs.append(combined[:n_oct])
             lane.buffer = deque(int(v) for v in combined[n_oct:])
             lane.pend = deque(int(v) for v in leftover)
 

@@ -394,15 +394,14 @@ class Simulation:
                                                     stop_on_sync_change=True)
             # Output is checked once the chunk's input arrays are freed.
             del chars
-            for cycle, pieces in outputs:
+            for cycle, outs in outputs:
                 if cycle >= 0:
                     m0, data_cycle = tx.data_segments[-1]
                     if not segments:
                         t_data = data_cycle
                     segments.append(SegmentCheck(self.payload, lanes, m0,
                                                  self.collect_output, tx))
-                for outs in pieces:
-                    segments[-1].absorb(outs)
+                segments[-1].absorb(outs)
             fast_used = fast_used or fast_cycles > 0
             if done < n:
                 # The sync request changed: the cycles after the change were

@@ -255,6 +255,33 @@ def test_non_ascii_byte_is_located(tmp_path, at, want):
     assert str(info.value) == want
 
 
+def _read_edited(tmp_path, old, new):
+    data, _ = _small_captures(tmp_path)
+    path = tmp_path / "edited.cap"
+    path.write_bytes(data.replace(old, new))
+    read_capture(str(path))
+
+
+INT_ERROR = "malformed capture header: invalid literal for int() with base 10: {!r}"
+
+
+@pytest.mark.parametrize("act,exc,message", [
+    (lambda p: _read_edited(p, b"# seed: 3\n", b"# seed: x3\n"),
+     ParseError, INT_ERROR.format("x3")),
+    (lambda p: _read_edited(p, b"# lanes: 2\n", b"# lanes: two\n"),
+     ParseError, INT_ERROR.format("two")),
+    (lambda p: _read_edited(p, b"# format: symbol10\n", b"# format: symbol8\n"),
+     ParseError, "unknown capture format 'symbol8'"),
+    (lambda p: write_capture(str(p / "w.cap"), Capture(
+        "symbol8", LinkConfig(L=1, F=4, K=32), 0, symbols=[np.zeros(3, np.uint16)])),
+     ValueError, "unknown capture format 'symbol8'"),
+], ids=["read-seed", "read-lanes", "read-format", "write-format"])
+def test_header_values_checked(tmp_path, act, exc, message):
+    with pytest.raises(exc) as info:
+        act(tmp_path)
+    assert type(info.value) is exc and str(info.value) == message
+
+
 def test_read_memory_is_the_arrays_plus_one_block(tmp_path):
     # The file is mapped, not copied: reading 2^18 rows per lane allocates
     # the uint16 lanes plus one block of decode buffers.

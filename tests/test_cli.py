@@ -51,6 +51,19 @@ class TestParseConfig:
             parse_config(path)
         assert str(info.value) == f"unknown {name} key(s): alpha, zeta"
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config file: [Errno 2] No such file or directory"),
+        ('{"L": 2,', "config is not valid JSON: Expecting property name"),
+        ("[2, 4, 32]", "config must be a JSON object"),
+    ], ids=["unreadable", "invalid-json", "not-an-object"])
+    def test_unusable_file_rejected(self, tmp_path, content, message):
+        path = tmp_path / "link.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ParseError) as info:
+            parse_config(str(path))
+        assert type(info.value) is ParseError and str(info.value).startswith(message)
+
     def test_constraint_violation_passthrough(self, config_path):
         from jesd204b_sim.config import ConfigError
         with pytest.raises(ConfigError, match="F-multiple-of-4"):
@@ -289,6 +302,32 @@ class TestGenDecodeRoundTrip:
                             symbols=[s[:400] for s in parsed.symbols])
         write_capture(str(cap), truncated)
         assert main(["decode", "--capture", str(cap)]) == EXIT_PROTOCOL
+
+    def test_resync_before_release_leaves_segment_0_unchecked(
+            self, config_path, tmp_path, capsys):
+        # Flips on cycles 205-208 fault the link after the transmitter
+        # entered its data phase, so its data restarts at lane octet 36.
+        # Replay cannot know that; it compared segment 0 from octet 0 and
+        # reported 20,288 of 20,368 octets mismatched.
+        cfgp = config_path(payload={"kind": "random", "seed": 3},
+                           channel={"skew": [5, 38], "error_positions":
+                                    [[0, 40 * t + 11] for t in range(205, 209)]})
+        cap, live, dec = (tmp_path / n for n in ("cap.txt", "live.json", "dec.json"))
+        main(["gen", "--config", cfgp, "--out", str(cap), "--cycles", "3000"])
+        assert main(["simulate", "--config", cfgp, "--duration", "3000",
+                     "--max-resyncs", "1", "--report", str(live)]) == EXIT_OK
+        live_rep = json.loads(live.read_text())
+        assert live_rep["resync_count"] == 1
+        assert live_rep["payload_mismatch_octets"] == 0
+        capsys.readouterr()
+        assert main(["decode", "--capture", str(cap), "--config", cfgp, "--report",
+                     str(dec), "--dump-samples", str(tmp_path / "s.csv")]) == EXIT_PROTOCOL
+        out, err = capsys.readouterr()
+        rep = json.loads(dec.read_text())
+        assert rep["release_cycle"] == live_rep["t_release"] == 454
+        assert rep["payload_mismatch_octets"] == -1
+        assert "mismatches" not in out
+        assert "sample indices count from lane octet 0" in err
 
     def test_sine_capture_decodes_to_sine_table(self, config_path, tmp_path):
         # The generator-side quantized tone is the oracle for the decoded

@@ -191,3 +191,26 @@ class TestIlasConfig:
         assert ic.matches_link(cfg)
         assert not dataclasses.replace(ic, k=30).matches_link(cfg)
         assert not dataclasses.replace(ic, scr=0).matches_link(cfg)
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, cgs_threshold=0)),
+     ConfigError, "cgs-threshold-min: got 0, allowed >= 1"),
+    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, error_threshold=0)),
+     ConfigError, "error-threshold-min: got 0, allowed >= 1"),
+    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, stability_cycles=-1)),
+     ConfigError, "stability-cycles-min: got -1, allowed >= 0"),
+    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, ilas_policy="lax")),
+     ConfigError, "ilas-policy: got 'lax', allowed minimal|strict"),
+    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, fchk_rule="crc")),
+     ConfigError, "fchk-rule: got 'crc', allowed octet_sum|field_sum"),
+    (lambda: compute_fchk([0] * 12), ValueError, "expected 13 or 14 octets, got 12"),
+    (lambda: IlasConfig.unpack([0] * 13), ValueError, "expected 14 octets, got 13"),
+    (lambda: IlasConfig().checksum([0] * 14, "crc"), ValueError,
+     "unknown checksum rule 'crc'"),
+], ids=["cgs-threshold", "error-threshold", "stability-cycles", "ilas-policy",
+        "fchk-rule", "fchk-length", "unpack-length", "checksum-rule"])
+def test_rejections_named(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message

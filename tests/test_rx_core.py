@@ -468,13 +468,13 @@ class TestReceive:
                                                [c[4 * split:] for c in chars]]
         segments = []
         for part in parts:
-            for cycle, pieces in rx.receive(part, SysrefSpec(), fast=fast)[2]:
+            for cycle, outs in rx.receive(part, SysrefSpec(), fast=fast)[2]:
                 if cycle >= 0:
                     segments.append((cycle, []))
-                segments[-1][1].extend(pieces)
-        return rx, [(cycle, [np.concatenate([p[lane] for p in pieces])
+                segments[-1][1].append(outs)
+        return rx, [(cycle, [np.concatenate([o[lane] for o in outs])
                              for lane in range(cfg.L)])
-                    for cycle, pieces in segments]
+                    for cycle, outs in segments]
 
     K_LANE = np.full(400, K_PACKED, np.uint16)
 

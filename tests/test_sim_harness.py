@@ -482,3 +482,16 @@ class TestLongRunSmoke:
         large, rep = peak(1 << 20)
         assert rep.payload_match and rep.fast_path_used and rep.resync_count == 0
         assert large <= 1.25 * small
+
+
+@pytest.mark.parametrize("make,exc,message", [
+    (lambda: SysrefSpec(tx_phase_offset_octets=6), ValueError,
+     "tx_phase_offset_octets must be a multiple of 4"),
+    (lambda: ChannelSpec(skew=5), ParseError, "channel.skew: got 5, allowed a list"),
+    (lambda: ChannelSpec(bit_error_rate=1e-5, error_positions=[(0, 3)]), ValueError,
+     "bit_error_rate and error_positions are mutually exclusive"),
+], ids=["sysref-offset", "skew-not-a-list", "rate-and-positions"])
+def test_spec_rejections_named(make, exc, message):
+    with pytest.raises(exc) as info:
+        make()
+    assert type(info.value) is exc and str(info.value) == message

@@ -238,3 +238,15 @@ class TestPayloadGenerators:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             PayloadSpec(kind="chirp")
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: PayloadSpec(kind="sine", period=1), ValueError,
+     "sine period must be >= 2 samples"),
+    (lambda: TxLink(CFG).bulk_data(1), RuntimeError,
+     "bulk_data is only valid in the data phase"),
+], ids=["sine-period", "bulk-data-outside-data-phase"])
+def test_rejections_named(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
