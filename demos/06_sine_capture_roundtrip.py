@@ -23,7 +23,7 @@ report = sim.run(4000)
 assert report.payload_match
 
 seg = sim.segments[0]
-rows = sample_rows(seg.arrays(), cfg.L, payload.channels, start_lane_octet=seg.m0)
+rows = sample_rows(seg.arrays(), payload.channels, start_lane_octet=seg.m0)
 print(f"decoded {rows.shape[0]} samples across {payload.channels} channels")
 
 ch0 = rows[rows[:, 1] == 0][:, 2].astype(np.int64)

@@ -22,8 +22,7 @@ from .codec8b10b import (InvalidControlCode, NoCommaFound, bit_align,
                          decode_octet, decode_stream, encode_octet,
                          encode_stream, serialize)
 from .config import (ConfigError, ConstraintViolation, FieldOverflow,
-                     IlasConfig, LinkConfig, ParseError, check_config,
-                     compute_fchk, validate_config)
+                     IlasConfig, LinkConfig, ParseError, compute_fchk)
 from .rx_core import RxFsm, RxReceiver
 from .sim_harness import (ChannelSpec, LatencySweep, SimConfigError,
                           SimReport, Simulation, SysrefSpec,
@@ -38,8 +37,7 @@ __all__ = [
     "decode_octet", "decode_stream", "encode_octet", "encode_stream",
     "serialize",
     "ConfigError", "ConstraintViolation", "FieldOverflow", "IlasConfig",
-    "LinkConfig", "ParseError", "check_config", "compute_fchk",
-    "validate_config",
+    "LinkConfig", "ParseError", "compute_fchk",
     "RxFsm", "RxReceiver",
     "ChannelSpec", "LatencySweep", "SimConfigError", "SimReport",
     "Simulation", "SysrefSpec", "measure_latency_determinism",

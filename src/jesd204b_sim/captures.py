@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec8b10b import check_range
-from .config import LinkConfig, ParseError, validate_config
+from .config import LinkConfig, ParseError
 
 FORMAT_SYMBOL10 = "symbol10"
 FORMAT_OCTET_FLAG = "octet_flag"
@@ -155,7 +155,7 @@ def read_capture(path: str) -> Capture:
         raise ParseError(f"malformed capture header: {exc}") from exc
     if fmt not in CAPTURE_FORMATS:
         raise ParseError(f"unknown capture format {fmt!r}")
-    cfg = validate_config(LinkConfig.from_dict(cfg_dict))
+    cfg = LinkConfig.from_dict(cfg_dict)
     if lanes != cfg.L:
         raise ParseError(f"capture has {lanes} lanes but its config has L={cfg.L}")
 
@@ -217,22 +217,22 @@ def _row_values(lane: int, buf, start: int, stop: int, fmt: str) -> np.ndarray:
     return values.view(np.uint16)
 
 
-def sample_rows(lane_outputs: list[np.ndarray], lanes: int, channels: int,
+def sample_rows(lane_outputs: list[np.ndarray], channels: int,
                 start_lane_octet: int = 0) -> np.ndarray:
     """Reassemble decoded lane octets into (sample_index, channel, value) rows.
 
-    Inverts the transmitter's sample interleaving: lane l's octet pair q
-    is flat sample ``lanes * q + l``, high byte first.  The lanes release
-    in lockstep, so they must be equally long (else ValueError).  Rows
-    come out dense and ordered by flat sample index; a trailing unpaired
-    octet is dropped.
+    Inverts the transmitter's sample interleaving: with L lanes, lane l's
+    octet pair q is flat sample ``L * q + l``, high byte first.  The lanes
+    release in lockstep, so they must be equally long (else ValueError).
+    Rows come out dense and ordered by flat sample index; a trailing
+    unpaired octet is dropped.
     """
     if len({octets.shape[0] for octets in lane_outputs}) != 1:
         raise ValueError("sample_rows needs one or more lanes of equal length")
     n_pairs = lane_outputs[0].shape[0] // 2
     o = np.stack([octets[: 2 * n_pairs] for octets in lane_outputs], axis=1).astype(np.int64)
     values = (o[0::2] << 8 | o[1::2]).ravel()
-    j = lanes * (start_lane_octet // 2) + np.arange(values.shape[0], dtype=np.int64)
+    j = len(lane_outputs) * (start_lane_octet // 2) + np.arange(values.shape[0], dtype=np.int64)
     return np.stack([j // channels, j % channels, values], axis=1)
 
 

@@ -6,7 +6,7 @@ optional) plus optional ``ilas``, ``channel``, ``payload``, ``sysref``
 and ``sim`` sections.  Unknown keys anywhere are rejected by name.
 
 Exit codes: 0 success, 1 protocol-level failure (payload mismatch,
-fault, no sync), 2 usage or configuration error.
+fault, no sync, no release), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .captures import (CAPTURE_FORMATS, FORMAT_OCTET_FLAG, FORMAT_SYMBOL10,
                        Capture, read_capture, sample_rows, write_capture,
                        write_sample_csv)
 from .config import (ILAS_FIELD_LAYOUT, IlasConfig, LinkConfig, ParseError,
-                     check_int, check_keys, validate_config)
+                     check_int, check_keys)
 from .rx_core import RxReceiver
 from .sim_harness import (ChannelSpec, SegmentCheck, Simulation, SysrefSpec,
                           measure_latency_determinism)
@@ -63,7 +63,7 @@ def parse_config(path: str) -> tuple[LinkConfig, dict]:
             sections[key] = value
         else:
             top[key] = value
-    cfg = validate_config(LinkConfig.from_dict(top))
+    cfg = LinkConfig.from_dict(top)
     if cfg.L > 4:
         # The library models up to 32 lanes; the command-line wrapper
         # mirrors the packaged core's 4-lane limit.
@@ -129,8 +129,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.dump_samples and sim.segments:
         payload = sections.get("payload") or PayloadSpec()
         seg = sim.segments[0]
-        rows = sample_rows(seg.arrays(), cfg.L, payload.channels,
-                           start_lane_octet=seg.m0)
+        rows = sample_rows(seg.arrays(), payload.channels, start_lane_octet=seg.m0)
         write_sample_csv(args.dump_samples, rows)
     ok = (report.sync_achieved and report.payload_match
           and report.resync_count <= args.max_resyncs)
@@ -231,7 +230,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             print("warning: a resync preceded the first release; sample indices "
                   "count from lane octet 0", file=sys.stderr)
         channels = args.channels or (payload.channels if payload else 1)
-        rows = sample_rows(segments[0].arrays(), cap.config.L, channels)
+        rows = sample_rows(segments[0].arrays(), channels)
         write_sample_csv(args.dump_samples, rows)
     _write_json(args.report, {
         "sync_cycle": rx.t_synced,
@@ -244,6 +243,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     print(f"synced at cycle {rx.t_synced}, {total} output octets, "
           f"resyncs={rx.resync_count}"
           + (f", mismatches={mismatched}" if mismatched >= 0 else ""))
+    if rx.t_release < 0:
+        print("error: the link synchronized but never released", file=sys.stderr)
+        return EXIT_PROTOCOL
     if mismatched > 0 or rx.resync_count > 0:
         return EXIT_PROTOCOL
     return EXIT_OK

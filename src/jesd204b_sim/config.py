@@ -2,8 +2,9 @@
 
 A single :class:`LinkConfig` is shared by the transmitter model, the
 receiver and the simulation harness.  Everything here is a plain value
-type: validation never mutates, packing is deterministic, and all
-functions are safe to call from any thread.
+type: a :class:`LinkConfig` checks itself when built and cannot change
+afterwards, packing is deterministic, and all functions are safe to call
+from any thread.
 
 The 14 configuration octets carried during initial lane alignment follow
 the standard wire layout.  Fields are stored exactly as they appear on
@@ -53,7 +54,8 @@ class ConstraintViolation:
 
 
 class ConfigError(ValueError):
-    """Raised by :func:`validate_config`; carries every violated rule."""
+    """Raised when a :class:`LinkConfig` is built with invalid values;
+    ``violations`` lists every rule it breaks."""
 
     def __init__(self, violations: list[ConstraintViolation]):
         self.violations = violations
@@ -100,14 +102,17 @@ def check_int(name: str, value: Any, lo: int | None = None,
     raise ParseError(f"{name}: got {value!r}, allowed {allowed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkConfig:
-    """Static parameters of one link.
+    """Static parameters of one link, checked once, when built.
 
     ``L``/``F``/``K`` are lanes per link, octets per frame and frames per
     multiframe.  ``F`` is restricted to multiples of 4 so the 32-bit
     datapath always processes whole frames in an integral number of
-    cycles.  Defaults left at ``None`` are resolved from ``F*K``.
+    cycles.  Defaults left at ``None`` are resolved from ``F*K``.  An
+    invalid config (built directly, by :meth:`from_dict` or by
+    :func:`dataclasses.replace`) raises :class:`ConfigError`; a valid one
+    is immutable.
     """
 
     L: int
@@ -125,17 +130,19 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.scrambling, numbers.Integral) and self.scrambling in (0, 1):
-            self.scrambling = bool(self.scrambling)  # check_config rejects the rest
-        if not (is_int(self.F) and is_int(self.K)):
-            return  # check_config reports them; nothing derives from them
-        if self.buffer_depth is None:
-            self.buffer_depth = 2 * self.F * self.K
-        if self.release_offset is None:
-            # Latency stays skew-invariant as long as every lane's data
-            # arrival phase (channel idle + skew + alignment slack) falls
-            # on one side of the release point; a late default leaves the
-            # most headroom below it.
-            self.release_offset = self.F * self.K - 8
+            object.__setattr__(self, "scrambling", bool(self.scrambling))
+        if is_int(self.F) and is_int(self.K):  # else nothing derives from them
+            if self.buffer_depth is None:
+                object.__setattr__(self, "buffer_depth", 2 * self.F * self.K)
+            if self.release_offset is None:
+                # Latency stays skew-invariant as long as every lane's data
+                # arrival phase (channel idle + skew + alignment slack) falls
+                # on one side of the release point; a late default leaves the
+                # most headroom below it.
+                object.__setattr__(self, "release_offset", self.F * self.K - 8)
+        violations = _violations(self)
+        if violations:
+            raise ConfigError(violations)
 
     @property
     def fk(self) -> int:
@@ -168,8 +175,8 @@ _INT_FIELDS = ("buffer_depth", "cgs_threshold", "error_threshold",
                "stability_cycles", "release_offset")
 
 
-def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
-    """Return every violated constraint (empty list when valid)."""
+def _violations(cfg: LinkConfig) -> list[ConstraintViolation]:
+    """Every rule ``cfg`` breaks, in a fixed order (empty when valid)."""
     out: list[ConstraintViolation] = []
 
     def bad(name: str, actual: Any, allowed: str) -> None:
@@ -210,18 +217,6 @@ def check_config(cfg: LinkConfig) -> list[ConstraintViolation]:
     if cfg.fchk_rule not in CHECKSUM_RULES:
         bad("fchk-rule", cfg.fchk_rule, "|".join(CHECKSUM_RULES))
     return out
-
-
-def validate_config(cfg: LinkConfig) -> LinkConfig:
-    """Return ``cfg`` unchanged iff every invariant holds.
-
-    Raises :class:`ConfigError` carrying the full violation list
-    otherwise.  Pure and idempotent.
-    """
-    violations = check_config(cfg)
-    if violations:
-        raise ConfigError(violations)
-    return cfg
 
 
 # Wire layout of the configuration image: name -> (octet, shift, width).

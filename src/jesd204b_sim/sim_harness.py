@@ -61,7 +61,7 @@ from . import codec8b10b as codec
 # this module, so they stay importable from it.
 from .codec8b10b import decode_octet, encode_octet  # noqa: F401
 from .config import (OCTETS_PER_CYCLE, IlasConfig, LinkConfig, ParseError,
-                     check_int, check_keys, is_int, validate_config)
+                     check_int, check_keys, is_int)
 from .rx_core import RxReceiver
 from .tx_model import PayloadSpec, TxLink, lane_payload_octets
 
@@ -343,7 +343,6 @@ class Simulation:
                  sysref: SysrefSpec | None = None,
                  collect_output: bool = False,
                  collect_received: bool = False):
-        validate_config(cfg)
         self.cfg = cfg
         self.payload = payload or PayloadSpec()
         self.channel = channel or ChannelSpec()
@@ -593,7 +592,6 @@ def measure_latency_determinism(cfg: LinkConfig, n_trials: int,
     """
     if not is_int(n_trials) or n_trials < 1:
         raise ValueError(f"n_trials must be an int >= 1, got {n_trials!r}")
-    validate_config(cfg)
     if skew_range is None:
         skew_range = (0, cfg.fk // 2)
     elif not (isinstance(skew_range, (tuple, list)) and len(skew_range) == 2

@@ -29,7 +29,7 @@ import numpy as np
 from . import scrambler
 from .codec8b10b import CTRL_FLAG, K_A, K_K, K_Q, K_R
 from .config import (ILAS_MULTIFRAMES, OCTETS_PER_CYCLE, IlasConfig,
-                     LinkConfig, check_int, check_keys, validate_config)
+                     LinkConfig, check_int, check_keys)
 
 PHASE_CGS = "CGS"
 PHASE_ILAS = "ILAS"
@@ -128,7 +128,6 @@ def build_ilas(cfg: LinkConfig, base: IlasConfig) -> list[np.ndarray]:
     in the lane id field (and therefore the checksum).  Filler positions
     carry the position counter mod 256 so any slip is visible in a dump.
     """
-    validate_config(cfg)
     fk = cfg.fk
     total = ILAS_MULTIFRAMES * fk
     lanes = []
@@ -149,7 +148,6 @@ class TxLink:
 
     def __init__(self, cfg: LinkConfig, ilas: IlasConfig | None = None,
                  payload: PayloadSpec | None = None):
-        validate_config(cfg)
         self.cfg = cfg
         self.payload = payload or PayloadSpec()
         self.ilas_base = ilas or IlasConfig.from_link_config(

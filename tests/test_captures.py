@@ -115,7 +115,7 @@ def test_sample_rows_number_lanes_in_lockstep():
     # L=2, three channels, from lane octet 4: lane l's pair q is flat
     # sample 2 * (2 + q) + l.
     lanes = [np.array([1, 2, 3, 4], np.uint8), np.array([5, 6, 7, 8], np.uint8)]
-    rows = sample_rows(lanes, 2, 3, start_lane_octet=4)
+    rows = sample_rows(lanes, 3, start_lane_octet=4)
     assert rows.tolist() == [[1, 1, 258], [1, 2, 1286], [2, 0, 772], [2, 1, 1800]]
 
 
@@ -123,7 +123,7 @@ def test_sample_rows_reject_unequal_lanes():
     # Lanes release in lockstep; unequal lanes would leave gaps in the
     # sample index.
     with pytest.raises(ValueError):
-        sample_rows([np.array([1, 2], np.uint8), np.array([5, 6, 7, 8], np.uint8)], 2, 1)
+        sample_rows([np.array([1, 2], np.uint8), np.array([5, 6, 7, 8], np.uint8)], 1)
 
 
 def _words(bits):

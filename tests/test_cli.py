@@ -303,6 +303,27 @@ class TestGenDecodeRoundTrip:
         write_capture(str(cap), truncated)
         assert main(["decode", "--capture", str(cap)]) == EXIT_PROTOCOL
 
+    @pytest.mark.parametrize("with_config", [True, False])
+    def test_sync_without_release_exit_protocol(self, config_path, tmp_path, capsys,
+                                                with_config):
+        # The live link syncs at cycle 217 and releases at 230; a capture
+        # of 225 cycles ends in between, and decode once exited 0 on it.
+        cfgp = config_path(payload={"kind": "random", "seed": 1},
+                           channel={"skew": [5, 38]})
+        cap, dec, csv = (tmp_path / n for n in ("cap.txt", "dec.json", "s.csv"))
+        main(["gen", "--config", cfgp, "--out", str(cap), "--cycles", "225"])
+        assert main(["simulate", "--config", cfgp, "--duration", "225"]) == EXIT_PROTOCOL
+        capsys.readouterr()
+        args = ["decode", "--capture", str(cap), "--report", str(dec),
+                "--dump-samples", str(csv)] + (["--config", cfgp] if with_config else [])
+        assert main(args) == EXIT_PROTOCOL
+        out, err = capsys.readouterr()
+        assert out == "synced at cycle 217, 0 output octets, resyncs=0\n"
+        assert "never released" in err
+        rep = json.loads(dec.read_text())
+        assert rep["sync_cycle"] == 217 and rep["release_cycle"] == -1
+        assert not csv.exists()
+
     def test_resync_before_release_leaves_segment_0_unchecked(
             self, config_path, tmp_path, capsys):
         # Flips on cycles 205-208 fault the link after the transmitter

@@ -1,4 +1,4 @@
-"""Link-parameter validation and the 14-octet configuration image."""
+"""Link-parameter checks and the 14-octet configuration image."""
 
 import dataclasses
 
@@ -7,51 +7,59 @@ import pytest
 
 from jesd204b_sim.config import (FIELD_SUM, OCTET_SUM, ConfigError,
                                  FieldOverflow, IlasConfig, LinkConfig,
-                                 ParseError, check_config, compute_fchk,
-                                 validate_config)
+                                 ParseError, compute_fchk)
 
 
-def names(violations):
-    return {v.name for v in violations}
+def broken(**fields):
+    """Names of the rules a LinkConfig built from ``fields`` breaks."""
+    try:
+        LinkConfig(**fields)
+    except ConfigError as exc:
+        return {v.name for v in exc.violations}
+    return set()
 
 
 class TestValidateConfig:
     def test_two_lane_hardware_config_is_valid(self):
-        cfg = LinkConfig(L=2, F=4, K=32, scrambling=1)
-        assert validate_config(cfg) is cfg
+        assert broken(L=2, F=4, K=32, scrambling=1) == set()
 
     def test_f_not_multiple_of_4(self):
-        cfg = LinkConfig(L=2, F=3, K=32)
-        with pytest.raises(ConfigError) as exc:
-            validate_config(cfg)
-        assert "F-multiple-of-4" in names(exc.value.violations)
+        got = broken(L=2, F=3, K=32)
+        assert "F-multiple-of-4" in got
         # 3 is also below the lower bound of the F range
-        assert "F-range" in names(exc.value.violations)
+        assert "F-range" in got
 
     def test_fk_lower_bound(self):
         # F*K = 16 cannot carry the 17-octet alignment payload
         # (/R/ + /Q/ + 14 config octets + /A/) in one multiframe.
-        cfg = LinkConfig(L=2, F=4, K=4)
-        assert "FK-range" in names(check_config(cfg))
-        assert names(check_config(LinkConfig(L=2, F=4, K=5))) == set()
+        assert "FK-range" in broken(L=2, F=4, K=4)
+        assert broken(L=2, F=4, K=5) == set()
 
     def test_every_violation_reported(self):
-        cfg = LinkConfig(L=0, F=3, K=40, links=9)
-        got = names(check_config(cfg))
+        got = broken(L=0, F=3, K=40, links=9)
         assert {"L-range", "F-range", "F-multiple-of-4", "K-range",
                 "links-range"} <= got
 
     def test_buffer_and_release_rules(self):
-        assert "buffer-depth-min" in names(
-            check_config(LinkConfig(L=2, F=4, K=32, buffer_depth=32)))
-        assert "release-offset-range" in names(
-            check_config(LinkConfig(L=2, F=4, K=32, release_offset=128)))
+        assert "buffer-depth-min" in broken(L=2, F=4, K=32, buffer_depth=32)
+        assert "release-offset-range" in broken(L=2, F=4, K=32, release_offset=128)
 
-    def test_validation_is_pure_and_idempotent(self):
+    def test_immutable_and_replace_checks_again(self):
         cfg = LinkConfig(L=2, F=4, K=32)
-        before = dataclasses.asdict(cfg)
-        validate_config(validate_config(cfg))
-        assert dataclasses.asdict(cfg) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.buffer_depth = 4
+        assert cfg.buffer_depth == 256
+        with pytest.raises(ConfigError) as exc:
+            dataclasses.replace(cfg, buffer_depth=4, cgs_threshold=0)
+        assert [str(v) for v in exc.value.violations] == [
+            "buffer-depth-min: got 4, allowed >= F*K/2 = 64",
+            "cgs-threshold-min: got 0, allowed >= 1"]
+
+    def test_from_dict_checks(self):
+        with pytest.raises(ConfigError) as exc:
+            LinkConfig.from_dict({"L": 2, "F": 6, "K": 32, "release_offset": 500})
+        assert {v.name for v in exc.value.violations} == {
+            "F-multiple-of-4", "release-offset-range"}
 
     def test_defaults_resolved_from_fk(self):
         cfg = LinkConfig(L=1, F=8, K=16)
@@ -62,18 +70,21 @@ class TestValidateConfig:
                                           (0, True), ("0", False), (2, False),
                                           (None, False), (1.0, False)])
     def test_scrambling_only_bool_or_0_1(self, value, ok):
-        cfg = LinkConfig(L=2, F=4, K=32, scrambling=value)
-        assert ("scrambling-type" not in names(check_config(cfg))) == ok
-        assert cfg.scrambling is bool(value) if ok else cfg.scrambling is value
+        if ok:
+            assert LinkConfig(L=2, F=4, K=32, scrambling=value).scrambling is bool(value)
+            return
+        with pytest.raises(ConfigError) as exc:
+            LinkConfig(L=2, F=4, K=32, scrambling=value)
+        [violation] = exc.value.violations
+        assert violation.name == "scrambling-type" and violation.actual is value
 
     @pytest.mark.parametrize("field", ["L", "F", "K", "buffer_depth"])
     def test_numpy_integer_rejected(self, field):
         # Accepting it here let run_simulation fail later with a false
         # FieldOverflow from IlasConfig.pack.
         cfg = LinkConfig(L=2, F=4, K=32)
-        cfg = dataclasses.replace(cfg, **{field: np.int64(getattr(cfg, field))})
         with pytest.raises(ConfigError):
-            validate_config(cfg)
+            dataclasses.replace(cfg, **{field: np.int64(getattr(cfg, field))})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ParseError, match="bogus"):
@@ -194,15 +205,15 @@ class TestIlasConfig:
 
 
 @pytest.mark.parametrize("call,exc,message", [
-    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, cgs_threshold=0)),
+    (lambda: LinkConfig(L=2, F=4, K=32, cgs_threshold=0),
      ConfigError, "cgs-threshold-min: got 0, allowed >= 1"),
-    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, error_threshold=0)),
+    (lambda: LinkConfig(L=2, F=4, K=32, error_threshold=0),
      ConfigError, "error-threshold-min: got 0, allowed >= 1"),
-    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, stability_cycles=-1)),
+    (lambda: LinkConfig(L=2, F=4, K=32, stability_cycles=-1),
      ConfigError, "stability-cycles-min: got -1, allowed >= 0"),
-    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, ilas_policy="lax")),
+    (lambda: LinkConfig(L=2, F=4, K=32, ilas_policy="lax"),
      ConfigError, "ilas-policy: got 'lax', allowed minimal|strict"),
-    (lambda: validate_config(LinkConfig(L=2, F=4, K=32, fchk_rule="crc")),
+    (lambda: LinkConfig(L=2, F=4, K=32, fchk_rule="crc"),
      ConfigError, "fchk-rule: got 'crc', allowed octet_sum|field_sum"),
     (lambda: compute_fchk([0] * 12), ValueError, "expected 13 or 14 octets, got 12"),
     (lambda: IlasConfig.unpack([0] * 13), ValueError, "expected 14 octets, got 13"),

@@ -1,7 +1,7 @@
 """Differential test: stepped, fast and replayed runs agree on drawn links.
 
 Each draw is a valid configuration taken with a fixed seed from the
-whole space that ``validate_config`` accepts (L 1..32, F 4..32, F*K up
+whole space that ``LinkConfig`` accepts (L 1..32, F 4..32, F*K up
 to 1024, non-default buffer depth, thresholds, stability and release
 offset, both ILAS policies and checksum rules), with a ramp, sine or
 random payload, SYSREF absent, one-shot or periodic with a shifted
@@ -22,8 +22,7 @@ import pytest
 
 from jesd204b_sim.captures import FORMAT_SYMBOL10, Capture
 from jesd204b_sim.cli import decode_capture
-from jesd204b_sim.config import (CHECKSUM_RULES, ILAS_POLICIES, LinkConfig,
-                                 validate_config)
+from jesd204b_sim.config import CHECKSUM_RULES, ILAS_POLICIES, LinkConfig
 from jesd204b_sim.sim_harness import ChannelSpec, Simulation, SysrefSpec
 from jesd204b_sim.tx_model import PAYLOAD_KINDS, PayloadSpec
 
@@ -43,7 +42,7 @@ def _draw(index):
     F = 4 * int(rng.integers(1, 9))
     K = int(rng.integers(max(1, -(-17 // F)), min(32, 1024 // F) + 1))
     fk = F * K
-    cfg = validate_config(LinkConfig(
+    cfg = LinkConfig(
         L=L, F=F, K=K,
         scrambling=bool(rng.integers(2)),
         buffer_depth=int(rng.integers(fk // 2, 4 * fk + 1)),
@@ -52,7 +51,7 @@ def _draw(index):
         stability_cycles=int(rng.integers(0, 33)),
         release_offset=int(rng.integers(0, fk)),
         ilas_policy=pick(ILAS_POLICIES),
-        fchk_rule=pick(CHECKSUM_RULES)))
+        fchk_rule=pick(CHECKSUM_RULES))
 
     payload = PayloadSpec(kind=pick(PAYLOAD_KINDS), seed=int(rng.integers(1 << 16)),
                           channels=int(rng.integers(1, 5)),

@@ -19,6 +19,10 @@ No module reaches for another module's private (underscore) names, by
 import or through an imported name; what crosses a module boundary is
 public.
 
+Every parameter of a function or method in the package (``self`` and
+``cls`` aside) is read in its body, so an argument that no longer steers
+anything cannot linger in a signature.
+
 Every top-level function and class in the package, and every method of
 a top-level class (dunder methods aside), is referenced somewhere in
 ``src/``, ``tests/``, ``demos/`` or ``bench/``: read as a name or an
@@ -227,6 +231,49 @@ def test_check_flags_what_it_should():
         "x: np.ndarray = b",
     ])
     assert unused_imports(source) == ["line 2: json"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of the functions in ``source`` that their bodies never
+    read (``self`` and ``cls`` aside), as ``line n: function.parameter``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(p.lineno, f"{node.name}.{p.arg}") for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_parameter_check_flags_what_it_should():
+    source = "\n".join([
+        "def used(a, b=1, *rest, c, **extra):",
+        "    return a + b + c + len(rest) + len(extra)",
+        "def ignored(a, b: int = 0, *, c=None):",
+        "    total = a * 2",
+        "    return total",
+        "class Form:",
+        "    def method(self, lanes):",
+        "        return self",
+        "    @classmethod",
+        "    def build(cls, data):",
+        "        def inner(key):",
+        "            return data[0]",
+        "        return cls(inner)",
+    ])
+    assert unused_parameters(source) == [
+        "line 3: ignored.b", "line 3: ignored.c", "line 7: method.lanes",
+        "line 11: inner.key"]
 
 
 def _dunder(name: str) -> bool:

@@ -204,13 +204,21 @@ class TestPayloadGenerators:
         vals = payload_samples(pay, idx)
         assert (vals == (idx // 4) * 3).all()
 
-    def test_sine_quantization(self):
-        pay = PayloadSpec(kind="sine", channels=1, amplitude=20000, period=16)
+    @pytest.mark.parametrize("dc_offset,peak,trough", [
+        (0, 20000, -20000), (20000, 32767, 0), (-20000, 0, -32768)],
+        ids=["offset0", "offset+20000", "offset-20000"])
+    def test_sine_quantization(self, dc_offset, peak, trough):
+        # An offset of +-20000 pushes 5 of the 16 samples past one int16
+        # limit, which they saturate at.
+        pay = PayloadSpec(kind="sine", channels=1, amplitude=20000, period=16,
+                          dc_offset=dc_offset)
         vals = payload_samples(pay, np.arange(16)).view(np.int16)
-        expected = np.clip(np.rint(20000 * np.sin(2 * np.pi * np.arange(16) / 16)),
+        expected = np.clip(np.rint(dc_offset + 20000 * np.sin(2 * np.pi * np.arange(16) / 16)),
                            -32768, 32767).astype(np.int16)
         assert (vals == expected).all()
-        assert vals[4] == 20000 and vals[12] == -20000
+        assert vals[4] == peak and vals[12] == trough
+        assert (vals == 32767).sum() == (5 if dc_offset > 0 else 0)
+        assert (vals == -32768).sum() == (5 if dc_offset < 0 else 0)
 
     def test_lane_interleave_octet_pairwise(self):
         # sample j goes to lane j mod L, big end first
