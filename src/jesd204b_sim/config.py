@@ -102,6 +102,10 @@ def check_int(name: str, value: Any, lo: int | None = None,
     raise ParseError(f"{name}: got {value!r}, allowed {allowed}")
 
 
+class _Derived(int):
+    """A default resolved from F*K, derived again when passed back by replace."""
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Static parameters of one link, checked once, when built.
@@ -109,7 +113,8 @@ class LinkConfig:
     ``L``/``F``/``K`` are lanes per link, octets per frame and frames per
     multiframe.  ``F`` is restricted to multiples of 4 so the 32-bit
     datapath always processes whole frames in an integral number of
-    cycles.  Defaults left at ``None`` are resolved from ``F*K``.  An
+    cycles.  Defaults left at ``None`` are resolved from ``F*K``, and
+    again by :func:`dataclasses.replace`; given values stay.  An
     invalid config (built directly, by :meth:`from_dict` or by
     :func:`dataclasses.replace`) raises :class:`ConfigError`; a valid one
     is immutable.
@@ -132,14 +137,14 @@ class LinkConfig:
         if isinstance(self.scrambling, numbers.Integral) and self.scrambling in (0, 1):
             object.__setattr__(self, "scrambling", bool(self.scrambling))
         if is_int(self.F) and is_int(self.K):  # else nothing derives from them
-            if self.buffer_depth is None:
-                object.__setattr__(self, "buffer_depth", 2 * self.F * self.K)
-            if self.release_offset is None:
-                # Latency stays skew-invariant as long as every lane's data
-                # arrival phase (channel idle + skew + alignment slack) falls
-                # on one side of the release point; a late default leaves the
-                # most headroom below it.
-                object.__setattr__(self, "release_offset", self.F * self.K - 8)
+            # Latency stays skew-invariant as long as every lane's data
+            # arrival phase (channel idle + skew + alignment slack) falls on
+            # one side of the release point; a late default leaves the most
+            # headroom below it.
+            for name, value in (("buffer_depth", 2 * self.F * self.K),
+                                ("release_offset", self.F * self.K - 8)):
+                if getattr(self, name) is None or type(getattr(self, name)) is _Derived:
+                    object.__setattr__(self, name, _Derived(value))
         violations = _violations(self)
         if violations:
             raise ConfigError(violations)
@@ -151,7 +156,8 @@ class LinkConfig:
 
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)
-        d["scrambling"] = int(self.scrambling)
+        for name in ("scrambling", "buffer_depth", "release_offset"):
+            d[name] = int(d[name])
         return d
 
     @classmethod

@@ -6,11 +6,11 @@ detector, the link state machine (RESET -> WAIT_FOR_PHY -> CGS -> ILAS
 -> SYNCED, with the single backward edge to CGS on fault; the PHY wait
 is a fixed four cycles), the per-lane datapaths (octet rotation,
 alignment-sequence capture checked against the layout
-:func:`.tx_model.build_ilas` transmits, descrambling, elastic buffering)
-and finally the centralized buffer release that starts all lanes'
-output on the same cycle at a fixed multiframe phase.  That phase (LMFC)
-is derived, not counted: four octets per cycle since the last SYSREF
-edge (or reset, until the first edge locks it), modulo F*K.
+:func:`.tx_model.build_ilas` transmits, elastic buffering) and finally
+the centralized buffer release that starts all lanes' output on the same
+cycle at a fixed multiframe phase.  That phase (LMFC) is derived, not
+counted: four octets per cycle since the last SYSREF edge (or reset,
+until the first edge locks it), modulo F*K.
 
 Per-lane octet rotation anchors on the first clean /K/ comma of the run
 that completes group synchronization; because the transmitter emits
@@ -29,7 +29,10 @@ arrays: flag-free stretches of a released link go through
 :meth:`RxReceiver.fast_forward` in one vectorized pass, leaving the
 receiver exactly as repeated :meth:`~RxReceiver.step_packed` calls would
 (the test suite asserts the equivalence).  Each output segment is handed
-out once, as one uint8 array per lane joined when the call returns.
+out once, as one uint8 array per lane joined when the call returns.  The
+data path is the buffer, then descrambling on the way out: the two
+commute, as the buffer is a FIFO that starts with a lane's first
+data-phase octet, where the scrambler state resets.
 """
 
 from __future__ import annotations
@@ -74,8 +77,7 @@ class LaneState:
 
     __slots__ = (
         "idx", "rotation", "run", "pend", "rot_dropped", "mode",
-        "aligned_count", "ilas_pos", "cfg_octets", "markers_ok", "dsc_state",
-        "buffer",
+        "aligned_count", "ilas_pos", "cfg_octets", "markers_ok", "buffer",
     )
 
     def __init__(self, idx: int):
@@ -92,7 +94,6 @@ class LaneState:
         self.ilas_pos = 0
         self.cfg_octets: list[int] = []
         self.markers_ok = True
-        self.dsc_state = scrambler.ALL_ONES
         self.buffer: deque[int] = deque()
 
 
@@ -131,6 +132,7 @@ class RxReceiver:
         self._lmfc_locked = False
         self._sysref_edge = -1   # cycle of the last SYSREF edge; reset acts as one
         self.lanes = [LaneState(i) for i in range(cfg.L)]
+        self._dsc_states = [scrambler.ALL_ONES] * cfg.L   # at the open segment's end
         self._stability = 0
         self._err_cycles: deque[int] = deque()
         self.released = False
@@ -173,7 +175,9 @@ class RxReceiver:
         Returns ``(cycles consumed, cycles fast-forwarded, segments)``,
         the output as ``(release cycle, outs)`` per segment (cycle -1 for
         the one open when the call began), ``outs`` one uint8 array per
-        lane, all of one length (maybe 0).  Raises ValueError unless
+        lane, all of one length (maybe 0).  Only this method yields payload
+        (it descrambles), so do not mix it with :meth:`step_packed` on an
+        open segment.  Raises ValueError unless
         ``chars`` holds one uint16 array per lane, all of one length in
         whole cycles.
         """
@@ -219,11 +223,15 @@ class RxReceiver:
                     parts.append(part)
             if stop_on_sync_change and self.sync_request != sync_before:
                 break
-        # Stepped words are Python ints, all octets: hence the unsafe cast.
-        return i, fast_cycles, [
-            (cycle, [np.concatenate([_NO_OCTETS, *parts], dtype=np.uint8, casting="unsafe")
-                     for parts in lanes])
-            for cycle, lanes in segments]
+        for seg, (cycle, lanes) in enumerate(segments):
+            # Stepped words are Python ints, all octets: hence the unsafe cast.
+            outs = [np.concatenate([_NO_OCTETS, *parts], dtype=np.uint8, casting="unsafe")
+                    for parts in lanes]
+            if self.cfg.scrambling:
+                states = self._dsc_states if cycle < 0 else [scrambler.ALL_ONES] * len(outs)
+                self._dsc_states, outs = zip(*map(scrambler.descramble_octets, states, outs))
+            segments[seg] = (cycle, list(outs))
+        return i, fast_cycles, segments
 
     def step_packed(self, words: Sequence[tuple[int, int, int, int]],
                     sysref: bool = False
@@ -231,8 +239,8 @@ class RxReceiver:
         """Advance one cycle on packed characters (octet | flags << 8) with
         SYSREF at level ``sysref``; a rising edge realigns the LMFC phase.
 
-        Returns one output word of four octets per lane while the
-        buffers are released, otherwise None.
+        Returns one word of four buffer octets (as received, so still
+        scrambled) per lane while the buffers are released, else None.
         """
         self.cycle += 1
         cycle = self.cycle
@@ -441,8 +449,6 @@ class RxReceiver:
                 name = "comma_in_data" if (v & 0xFF) == K_K else "control_in_data"
                 return (lane.idx, name, f"octet=0x{v & 0xFF:02X}")
         buf = lane.buffer
-        if self.cfg.scrambling:
-            lane.dsc_state, word = scrambler.descramble_word32(lane.dsc_state, word)
         buf.extend(v & 0xFF for v in word)
         if len(buf) > self.cfg.buffer_depth:
             self.error_counts["buffer_overflow"] += 1
@@ -473,27 +479,19 @@ class RxReceiver:
         carries a flag, and SYSREF pulses in the span fall on multiframe
         boundaries.  Reads then match writes, so no buffer fault can
         occur, and state advances exactly as ``n_cycles`` calls of
-        :meth:`step_packed` would.  Returns the output octets per lane.
+        :meth:`step_packed` would.  Buffer, rotation residue and input are
+        one FIFO; returns the buffer octets out per lane, as received.
         """
         n_oct = n_cycles * OCTETS_PER_CYCLE
         outputs = []
         for lane in self.lanes:
-            residue = np.array([v & 0xFF for v in lane.pend], dtype=np.uint8)
-            incoming = lane_chars[lane.idx].astype(np.uint8)
-            stream = np.concatenate([residue, incoming])
-            consume = stream[:n_oct]
-            leftover = stream[n_oct:]
-            if self.cfg.scrambling:
-                lane.dsc_state, plain = scrambler.descramble_octets(
-                    lane.dsc_state, consume)
-            else:
-                plain = consume
-            combined = np.concatenate(
-                [np.fromiter(lane.buffer, dtype=np.uint8, count=len(lane.buffer)),
-                 plain])
-            outputs.append(combined[:n_oct])
-            lane.buffer = deque(int(v) for v in combined[n_oct:])
-            lane.pend = deque(int(v) for v in leftover)
+            depth = len(lane.buffer)
+            fifo = np.concatenate([np.fromiter(lane.buffer, np.uint8, depth),
+                                   np.fromiter(lane.pend, np.uint8, len(lane.pend)),
+                                   lane_chars[lane.idx].astype(np.uint8)])
+            outputs.append(fifo[:n_oct])
+            lane.buffer = deque(fifo[n_oct: n_oct + depth].tolist())
+            lane.pend = deque(fifo[n_oct + depth:].tolist())
 
         self.cycle += n_cycles
         return outputs

@@ -16,10 +16,9 @@ octet first.  There is one form per job:
   receiver, on arrays of independent (state, word) pairs: the parallel
   form of the scrambler criterion,
 * bulk octet-array forms for long streams, used by the transmitter and
-  the fast path,
-* ``descramble_word32`` for the stepped receiver.
+  the receiver.
 
-The last three share one algebra: descrambling is the shifted XOR
+The last two share one algebra: descrambling is the shifted XOR
 out = in ^ in>>13 ^ in>>14 over the stream behind its state, and
 scrambling its inverse by operator doubling.  All forms are pure
 functions threading the state explicitly and are verified against each
@@ -32,7 +31,7 @@ it only pins down the first 14 bits for golden-file determinism.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -106,15 +105,6 @@ def descramble_words_batch(states: np.ndarray, words: np.ndarray
     return (x & STATE_MASK).astype(np.uint32), (y & 0xFFFF_FFFF).astype(np.uint32)
 
 
-def descramble_word32(state: int, octets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Descramble one word of four octets or packed characters (flag bits
-    ignored): out = in ^ in>>13 ^ in>>14 behind the state."""
-    a, b, c, d = (o & 0xFF for o in octets)
-    x = (state & STATE_MASK) << 32 | a << 24 | b << 16 | c << 8 | d
-    y = x ^ x >> _TAP_A ^ x >> _TAP_B
-    return x & STATE_MASK, (y >> 24 & 0xFF, y >> 16 & 0xFF, y >> 8 & 0xFF, y & 0xFF)
-
-
 # ---------------------------------------------------------------------------
 # Bulk octet-array forms for long per-lane streams.
 # ---------------------------------------------------------------------------
@@ -145,7 +135,7 @@ def _state_prefix(state: int) -> np.ndarray:
 
 def _octets(octets: np.ndarray) -> np.ndarray:
     octets = np.asarray(octets)
-    # The transmitter and the fast path pass uint8, so they skip the check.
+    # The transmitter and the receiver pass uint8, so they skip the check.
     if octets.dtype != np.uint8 and octets.size:
         check_range(octets, 0xFF, "octets")
     return octets.astype(np.uint8, copy=False)

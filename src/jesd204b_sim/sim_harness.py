@@ -307,21 +307,13 @@ class SegmentCheck:
         self.off += count
 
     def _expected(self, lane: int, start: int, count: int) -> np.ndarray:
-        """Lane octets ``start .. start+count`` of the payload."""
+        """Lane octets ``start .. start+count`` of the payload; none lies past the window."""
         end = start + count
-        if self.tx is not None:
-            w0, kept = self.tx.payload_window
-            lo, hi = max(start, w0), min(end, w0 + kept[lane].shape[0])
-            if lo < hi:
-                parts = [kept[lane][lo - w0: hi - w0]]
-                if lo > start:
-                    parts.insert(0, lane_payload_octets(self.payload, self.lanes, lane,
-                                                        start, lo - start))
-                if end > hi:
-                    parts.append(lane_payload_octets(self.payload, self.lanes, lane,
-                                                     hi, end - hi))
-                return np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return lane_payload_octets(self.payload, self.lanes, lane, start, count)
+        w0, kept = self.tx.payload_window if self.tx is not None else (end, None)
+        lo = min(max(start, w0), end)
+        head = lane_payload_octets(self.payload, self.lanes, lane, start, lo - start)
+        tail = kept[lane][lo - w0: end - w0] if lo < end else head
+        return np.concatenate([head, tail]) if start < lo < end else tail
 
     def arrays(self) -> list[np.ndarray]:
         return [np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)

@@ -66,6 +66,20 @@ class TestValidateConfig:
         assert cfg.buffer_depth == 2 * 128
         assert 0 <= cfg.release_offset < 128
 
+    def test_replace_resolves_defaults_again(self):
+        # replace passes every field back to the constructor, resolved
+        # defaults included: those must follow the new F*K.
+        cfg = LinkConfig(L=2, F=4, K=32)
+        assert dataclasses.replace(cfg, F=8) == LinkConfig(L=2, F=8, K=32)
+        assert dataclasses.replace(cfg, F=8).buffer_depth == 512
+        assert dataclasses.replace(cfg, F=8).release_offset == 248
+        assert dataclasses.replace(cfg, K=8).release_offset == 24
+        given = LinkConfig(L=2, F=4, K=32, buffer_depth=300, release_offset=16)
+        assert dataclasses.replace(given, F=8) == LinkConfig(
+            L=2, F=8, K=32, buffer_depth=300, release_offset=16)
+        assert dataclasses.replace(cfg, F=8).to_dict() == LinkConfig(L=2, F=8, K=32).to_dict()
+        assert {type(v) for v in cfg.to_dict().values()} == {int, str}
+
     @pytest.mark.parametrize("value,ok", [(True, True), (False, True), (1, True),
                                           (0, True), ("0", False), (2, False),
                                           (None, False), (1.0, False)])

@@ -10,9 +10,10 @@ explicit flips.  The run length covers bring-up plus some data.
 
 Every draw runs stepped and fast; the two must give the same report
 (without ``fast_path_used``), the same released output segments and the
-same line symbols.  A clean draw that releases is also written as a
-``symbol10`` capture and replayed with its SYSREF: the replay must
-release on the live cycle and produce the same output.
+same line symbols.  A clean draw that releases must deliver the payload
+exactly, with no resync; it is also written as a ``symbol10`` capture
+and replayed with its SYSREF: the replay must release on the live cycle
+and produce the same output.
 """
 
 import dataclasses
@@ -107,6 +108,8 @@ def test_stepped_fast_and_replay_agree(index):
     clean = channel.bit_error_rate == 0 and not channel.error_positions
     if not clean or fast_report["t_release"] < 0:
         return
+    assert fast_report["payload_match"] and fast_report["payload_mismatch_octets"] == 0
+    assert fast_report["resync_count"] == 0
     cap = Capture(FORMAT_SYMBOL10, cfg, 0, symbols=fast.received_symbols)
     rx, segments = decode_capture(cap, sysref=sysref, ilas=fast.tx.ilas_base)
     assert rx.t_release == fast_report["t_release"]

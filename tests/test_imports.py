@@ -10,7 +10,9 @@ imports are skipped.
 Every attribute the package stores (``obj.name = ...``, augmented
 assignments included) must be loaded somewhere in the package, so state
 that is written but never read does not linger.  Attributes stored inside
-exception classes are exempt: they are a payload for the handler.
+exception classes are exempt: they are a payload for the handler.  Every
+name in a class's ``__slots__`` is stored (``self.name = ...``) inside
+that class, so a slot whose state was deleted cannot linger either.
 
 Every module-level UPPER_CASE name is assigned in one module only; the
 others import it, so a constant cannot drift between two definitions.
@@ -211,6 +213,48 @@ def test_write_only_check_flags_what_it_should():
     assert write_only_attributes({"lane.py": lane, "faults.py": faults}) == [
         "lane.py line 4: written", "lane.py line 5: counted",
         "lane.py line 7: counted", "lane.py line 8: written"]
+
+
+def unassigned_slots(source: str) -> list[str]:
+    """``__slots__`` names that no ``self.name`` store in their class
+    writes, as ``line n: Class.name``."""
+    found = []
+    for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+        stored = {n.attr for n in ast.walk(cls)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                slots = ast.literal_eval(node.value)
+                found += [(node.lineno, f"{cls.name}.{name}")
+                          for name in ([slots] if isinstance(slots, str) else slots)
+                          if name not in stored]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_slot_assigned(path):
+    assert unassigned_slots(path.read_text(encoding="utf-8")) == []
+
+
+def test_slot_check_flags_what_it_should():
+    source = "\n".join([
+        "class Lane:",
+        "    __slots__ = ('idx', 'buffer', 'state', 'stale')",
+        "    def __init__(self, idx):",
+        "        self.idx = idx",
+        "        self.clear()",
+        "    def clear(self):",
+        "        self.buffer: list = []",
+        "        self.state, other.stale = 0, 1",
+        "class Single:",
+        "    __slots__ = 'only'",
+        "class Open:",
+        "    def set(self):",
+        "        self.anything = 1",
+    ])
+    assert unassigned_slots(source) == ["line 2: Lane.stale", "line 10: Single.only"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

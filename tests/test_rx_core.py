@@ -15,6 +15,7 @@ from jesd204b_sim.codec8b10b import (CTRL_FLAG, DERR_FLAG, K_A, K_K, K_Q, K_R,
                                      NIT_FLAG, RD_NEG, decode_stream)
 from jesd204b_sim.config import POLICY_STRICT, IlasConfig, LinkConfig
 from jesd204b_sim.rx_core import _DATA, RxFsm, RxReceiver
+from jesd204b_sim.scrambler import ALL_ONES, descramble_octets
 from jesd204b_sim.sim_harness import ChannelSpec, Simulation, SysrefSpec
 from jesd204b_sim.tx_model import PayloadSpec, TxLink, lane_payload_octets
 
@@ -70,6 +71,13 @@ class MiniLink:
             self.sync_seen = self.rx.sync_request
         return self.rx
 
+    def payload(self, lane):
+        """Lane ``lane``'s output words, descrambled as one segment: the
+        words ``step_packed`` returns are buffer octets as received."""
+        assert self.rx.resync_count == 0
+        octets = np.array(self.outputs[lane], dtype=np.uint8)
+        return descramble_octets(ALL_ONES, octets)[1] if self.cfg.scrambling else octets
+
 
 class TestResetAndFsm:
     def test_reset_asserts_sync(self):
@@ -118,7 +126,7 @@ class TestBringUp:
         rx = link.run(600)
         assert rx.fsm is RxFsm.SYNCED and rx.resync_count == 0
         for lane in range(2):
-            got = np.array(link.outputs[lane], dtype=np.uint8)
+            got = link.payload(lane)
             exp = lane_payload_octets(pay, 2, lane, 0, got.shape[0])
             assert got.shape[0] > 500 and (got == exp).all()
 
@@ -129,7 +137,7 @@ class TestBringUp:
         assert rx.lanes[0].rotation == shift
         assert rx.fsm is RxFsm.SYNCED
         pay = link.tx.payload
-        got = np.array(link.outputs[0], dtype=np.uint8)
+        got = link.payload(0)
         assert (got == lane_payload_octets(pay, 2, 0, 0, got.shape[0])).all()
 
     def test_rx_valid_rises_at_release_offset_phase(self):
@@ -417,7 +425,7 @@ class TestFaultPaths:
         assert rx.released
         assert rx.release_lmfc_phase <= 8 < rx.release_lmfc_phase + 4
         pay = link.tx.payload
-        got = np.array(link.outputs[0], dtype=np.uint8)
+        got = link.payload(0)
         assert (got == lane_payload_octets(pay, 2, 0, 0, got.shape[0])).all()
 
 
@@ -502,11 +510,10 @@ class TestReceive:
                 == copied.receive([wide[:400].copy()] * 2, SysrefSpec()))
         assert strided.events == copied.events and strided.cycle == 99
 
-    def test_a_flag_in_the_rotation_residue_steps(self):
-        # Bit 9305 of lane 1 is bit 5 of character 2 of cycle 232, after
-        # release.  Lane 1's rotation is 2, so the control character it
-        # decodes to waits in the residue into cycle 233: the fast path
-        # must step that cycle, in one call and when a call starts there.
+    @staticmethod
+    def _flagged_line():
+        """A scrambled link's decoded characters with one flag after
+        release: bit 9305 of lane 1 is bit 5 of character 2 of cycle 232."""
         cfg = LinkConfig(L=2, F=4, K=32)
         sim = Simulation(cfg, payload=PayloadSpec(kind="random", seed=5),
                          channel=ChannelSpec(skew=[5, 38], error_positions=[(1, 9305)]),
@@ -514,6 +521,13 @@ class TestReceive:
         sim.run(600, fast=False)
         chars = [decode_stream(syms, RD_NEG)[0] for syms in sim.received_symbols]
         assert chars[1][4 * 232 + 2] & CTRL_FLAG
+        return cfg, sim, chars
+
+    def test_a_flag_in_the_rotation_residue_steps(self):
+        # Lane 1's rotation is 2, so the control character the flipped
+        # bit decodes to waits in the residue into cycle 233: the fast
+        # path must step that cycle, in one call and when a call starts there.
+        cfg, sim, chars = self._flagged_line()
         ref, ref_out = self._receive(cfg, sim.tx.ilas_base, chars, fast=False)
         assert ref.error_counts["control_in_data"] == 1
         assert [lane.rotation for lane in ref.lanes] == [1, 2]
@@ -525,3 +539,38 @@ class TestReceive:
             assert [c for c, _ in out] == [c for c, _ in ref_out]
             for (_, got), (_, want) in zip(out, ref_out):
                 assert all((g == w).all() for g, w in zip(got, want))
+
+    def test_step_and_fast_output_is_buffer_octets(self):
+        # step_packed words and fast_forward arrays are the buffer octets
+        # as received; receive descrambles each segment from the reset state.
+        cfg, sim, chars = self._flagged_line()
+        rx = RxReceiver(cfg, expected_ilas=sim.tx.ilas_base)
+        raw, calls = [], {"step": 0, "fast": 0}
+        step, fast = rx.step_packed, rx.fast_forward
+
+        def stepped(words, sysref):
+            was_released = rx.released
+            word = step(words, sysref)
+            if rx.released and not was_released:
+                raw.append([[] for _ in range(cfg.L)])
+            if word is not None:
+                calls["step"] += 1
+                for parts, octets in zip(raw[-1], word):
+                    parts.append(np.array(octets, np.uint8))
+            return word
+
+        def fast_forwarded(lane_chars, n_cycles):
+            calls["fast"] += 1
+            outs = fast(lane_chars, n_cycles)
+            for parts, octets in zip(raw[-1], outs):
+                parts.append(octets)
+            return outs
+
+        rx.step_packed, rx.fast_forward = stepped, fast_forwarded
+        segments = rx.receive(chars, SysrefSpec())[2]
+        assert [cycle for cycle, _ in segments] == [230, 486]
+        assert calls["step"] > 0 and calls["fast"] > 0
+        for (_, outs), lanes in zip(segments, raw):
+            for got, parts in zip(outs, lanes):
+                want = descramble_octets(ALL_ONES, np.concatenate(parts))[1]
+                assert got.shape[0] > 0 and np.array_equal(got, want)
