@@ -20,9 +20,12 @@ octet first.  There is one form per job:
 
 The last two share one algebra: descrambling is the shifted XOR
 out = in ^ in>>13 ^ in>>14 over the stream behind its state, and
-scrambling its inverse by operator doubling.  All forms are pure
-functions threading the state explicitly and are verified against each
-other bit-for-bit by the test suite.
+scrambling its inverse by operator doubling.  The bulk forms XOR each
+delayed stream into an array in place, one slice XOR for a delay of
+whole octets and two for any other: descrambling into one copy of its
+stream, scrambling into its stream after one copy per doubling pass.
+All forms are pure functions threading the state explicitly and are
+verified against each other bit-for-bit by the test suite.
 
 Both link ends reset their state to all ones on data-phase entry.  That
 choice does not affect correctness (the descrambler self-synchronizes);
@@ -109,22 +112,17 @@ def descramble_words_batch(states: np.ndarray, words: np.ndarray
 # Bulk octet-array forms for long per-lane streams.
 # ---------------------------------------------------------------------------
 
-def _shift_stream(octets: np.ndarray, k: int) -> np.ndarray:
-    """Delay an MSB-first octet bitstream by k bits (zero fill)."""
-    n = octets.shape[0]
-    out = np.zeros(n, dtype=np.uint8)
+def _xor_delayed(out: np.ndarray, src: np.ndarray, k: int) -> None:
+    """out ^= src delayed by k bits (MSB-first octet bitstreams, zero fill)."""
+    n = src.shape[0]
     q, r = divmod(k, 8)
     if q >= n:
-        return out
+        return
     if r == 0:
-        out[q:] = octets[: n - q]
-        return out
-    hi = np.zeros(n, dtype=np.uint8)
-    lo = np.zeros(n, dtype=np.uint8)
-    if q + 1 < n:
-        hi[q + 1:] = octets[: n - q - 1]   # octet i-q-1 contributes its low bits
-    lo[q:] = octets[: n - q]               # octet i-q contributes its high bits
-    return ((hi << (8 - r)) | (lo >> r)).astype(np.uint8)
+        out[q:] ^= src[: n - q]
+        return
+    out[q:] ^= src[: n - q] >> r              # octet i-q gives its high bits
+    out[q + 1:] ^= src[: n - q - 1] << (8 - r)  # octet i-q-1 its low bits
 
 
 def _state_prefix(state: int) -> np.ndarray:
@@ -135,6 +133,8 @@ def _state_prefix(state: int) -> np.ndarray:
 
 def _octets(octets: np.ndarray) -> np.ndarray:
     octets = np.asarray(octets)
+    if octets.ndim != 1:
+        raise ValueError("octets must be a 1-D array")
     # The transmitter and the receiver pass uint8, so they skip the check.
     if octets.dtype != np.uint8 and octets.size:
         check_range(octets, 0xFF, "octets")
@@ -147,31 +147,33 @@ def descramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
     if octets.size == 0:
         return state & STATE_MASK, octets.copy()
     ext = np.concatenate([_state_prefix(state), octets])
-    y = ext ^ _shift_stream(ext, _TAP_A) ^ _shift_stream(ext, _TAP_B)
+    y = ext.copy()
+    _xor_delayed(y, ext, _TAP_A)
+    _xor_delayed(y, ext, _TAP_B)
     new_state = ((int(ext[-2]) << 8) | int(ext[-1])) & STATE_MASK
     return new_state, y[2:]
 
 
 def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
-    """Bulk scramble via operator doubling.
+    """Bulk scramble via operator doubling, in place.
 
     The recurrence y = u ^ y>>13 ^ y>>14 is solved as
     y = (1 + D)(1 + D^2)(1 + D^4)... u with D = (>>13 ^ >>14), using
-    D^(2^j) = (>>13*2^j ^ >>14*2^j) over GF(2).  Matches the serial form
-    bit-for-bit, including the threaded state.
+    D^(2^j) = (>>13*2^j ^ >>14*2^j) over GF(2), one pass per factor.
+    Matches the serial form bit-for-bit, including the threaded state.
     """
     octets = _octets(octets)
     if octets.size == 0:
         return state & STATE_MASK, octets.copy()
-    u = np.concatenate([_state_prefix(state), octets])
+    y = np.concatenate([_state_prefix(state), octets])
     # Fold the recurrence's reach into the state prefix: bit 15 of the
     # extended stream picks up the oldest state bit (stream index 2).
-    u[1] ^= (u[0] >> 5) & 1
-    total_bits = 8 * u.shape[0]
-    y = u
+    y[1] ^= (y[0] >> 5) & 1
     j = 0
-    while _TAP_A << j < total_bits:
-        y = y ^ _shift_stream(y, _TAP_A << j) ^ _shift_stream(y, _TAP_B << j)
+    while _TAP_A << j < 8 * y.shape[0]:
+        old = y.copy()   # each pass reads the stream as it was
+        _xor_delayed(y, old, _TAP_A << j)
+        _xor_delayed(y, old, _TAP_B << j)
         j += 1
     new_state = ((int(y[-2]) << 8) | int(y[-1])) & STATE_MASK
     return new_state, y[2:]

@@ -76,10 +76,13 @@ def _splitmix16(seed: int, idx: np.ndarray) -> np.ndarray:
     """Counter-based uniform 16-bit values: hash of (seed, index)."""
     with np.errstate(over="ignore"):
         z = idx.astype(np.uint64) + _GOLDEN * np.uint64(seed + 1)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return (z & np.uint64(0xFFFF)).astype(np.uint16)
+        t = np.empty_like(z)   # one temporary, reused by each xorshift
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= _MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= _MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z.astype(np.uint16)   # the low 16 bits
 
 
 def payload_samples(spec: PayloadSpec, indices: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ transmitted bits) and is written without reference to the library's
 internals; every other form must match it bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,64 @@ class TestBulkOctetForm:
             parts.append(part)
         assert (np.concatenate(parts) == whole).all()
 
+    # Lengths that reach each shape of the delayed XOR: a delay past the
+    # stream, a low-bits slice that ends at the stream's last octet, a bit
+    # delay and a whole-octet delay (the extended stream is n + 2 octets).
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 13, 14, 104, 105, 2**16 + 3])
+    @pytest.mark.parametrize("bulk, oracle", [
+        (sc.scramble_octets, oracle_scramble),
+        (sc.descramble_octets, oracle_descramble),
+    ], ids=["scramble", "descramble"])
+    def test_bulk_matches_serial_at_each_delay_shape(self, bulk, oracle, n):
+        rng = np.random.default_rng(200 + n)
+        state = int(rng.integers(0, 1 << 14))
+        octets = rng.integers(0, 256, n).astype(np.uint8)
+        st_b, out_b = bulk(state, octets)
+        st_o, bits = oracle(state, bits_of_octets(octets))
+        assert out_b.dtype == np.uint8 and out_b.shape == (n,)
+        assert st_b == st_o
+        assert (np.unpackbits(out_b) == bits).all()
+
+    @pytest.mark.parametrize("bulk", [sc.scramble_octets, sc.descramble_octets],
+                             ids=["scramble", "descramble"])
+    def test_uneven_chunks_equal_whole(self, bulk):
+        rng = np.random.default_rng(32)
+        octets = rng.integers(0, 256, 5_000).astype(np.uint8)
+        st_whole, whole = bulk(0x2AB7, octets)
+        state, parts, i, k = 0x2AB7, [], 0, 0
+        while i < octets.size:
+            size = (1, 7, 13, 999)[k % 4]
+            state, part = bulk(state, octets[i:i + size])
+            parts.append(part)
+            i, k = i + size, k + 1
+        assert state == st_whole and (np.concatenate(parts) == whole).all()
+
+    @pytest.mark.parametrize("bulk", [sc.scramble_octets, sc.descramble_octets],
+                             ids=["scramble", "descramble"])
+    def test_read_only_input_accepted_and_unchanged(self, bulk):
+        rng = np.random.default_rng(33)
+        octets = rng.integers(0, 256, 1_000).astype(np.uint8)
+        frozen = octets.copy()
+        frozen.setflags(write=False)
+        st, out = bulk(0x1234, frozen)
+        assert (frozen == octets).all()
+        st_w, out_w = bulk(0x1234, octets)
+        assert st == st_w and (out == out_w).all()
+
+    @pytest.mark.parametrize("bulk", [sc.scramble_octets, sc.descramble_octets],
+                             ids=["scramble", "descramble"])
+    def test_traced_peak_is_a_few_bytes_per_octet(self, bulk):
+        # The extended stream, one copy of it and one shifted temporary:
+        # 3 bytes per octet.
+        octets = np.random.default_rng(34).integers(0, 256, 1 << 18).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            bulk(sc.ALL_ONES, octets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * octets.size + 64 * 1024
+
 
 class TestArrayInputRange:
     """The array forms reject what they would otherwise wrap or truncate."""
@@ -230,6 +290,15 @@ class TestArrayInputRange:
     def test_out_of_range_or_non_integer_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("octets", [
+        np.zeros((2, 3), np.uint8), np.array(7, np.uint8), 7,
+    ], ids=["2-d", "0-d", "int"])
+    @pytest.mark.parametrize("bulk", [sc.scramble_octets, sc.descramble_octets],
+                             ids=["scramble", "descramble"])
+    def test_bulk_forms_reject_non_1d_input(self, bulk, octets):
+        with pytest.raises(ValueError, match="octets must be a 1-D array"):
+            bulk(5, octets)
 
     def test_in_range_wide_dtypes_match_narrow(self):
         rng = np.random.default_rng(40)
