@@ -155,7 +155,7 @@ def descramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
-    """Bulk scramble via operator doubling, in place.
+    """Bulk scramble via operator doubling.
 
     The recurrence y = u ^ y>>13 ^ y>>14 is solved as
     y = (1 + D)(1 + D^2)(1 + D^4)... u with D = (>>13 ^ >>14), using
