@@ -20,10 +20,11 @@ octet first.  There is one form per job:
 
 The last two share one algebra: descrambling is the shifted XOR
 out = in ^ in>>13 ^ in>>14 over the stream behind its state, and
-scrambling its inverse by operator doubling.  The bulk forms XOR each
-delayed stream into an array in place, one slice XOR for a delay of
-whole octets and two for any other: descrambling into one copy of its
-stream, scrambling into its stream after one copy per doubling pass.
+scrambling its inverse by operator doubling.  The bulk forms view the
+stream as big-endian 64-bit words and XOR each delayed stream into them
+in place, one slice XOR for a delay of whole words and two for any other:
+descrambling into one copy of its words, scrambling into its words after
+copying the prefix each doubling pass reads.
 All forms are pure functions threading the state explicitly and are
 verified against each other bit-for-bit by the test suite.
 
@@ -109,26 +110,35 @@ def descramble_words_batch(states: np.ndarray, words: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Bulk octet-array forms for long per-lane streams.
+# Bulk forms for long per-lane streams, on big-endian 64-bit words of the
+# extended stream [0, 0, state bits 13..0, octets]: index -1-k is state bit k.
 # ---------------------------------------------------------------------------
 
 def _xor_delayed(out: np.ndarray, src: np.ndarray, k: int) -> None:
-    """out ^= src delayed by k bits (MSB-first octet bitstreams, zero fill)."""
-    n = src.shape[0]
-    q, r = divmod(k, 8)
-    if q >= n:
+    """out ^= src delayed by k bits (MSB-first word bitstreams, zero fill)."""
+    m = out.shape[0]
+    q, r = divmod(k, 64)
+    if q >= m:
         return
     if r == 0:
-        out[q:] ^= src[: n - q]
+        out[q:] ^= src[: m - q]
         return
-    out[q:] ^= src[: n - q] >> r              # octet i-q gives its high bits
-    out[q + 1:] ^= src[: n - q - 1] << (8 - r)  # octet i-q-1 its low bits
+    out[q:] ^= src[: m - q] >> np.uint64(r)              # word i-q gives its high bits
+    out[q + 1:] ^= src[: m - q - 1] << np.uint64(64 - r)  # word i-q-1 its low bits
 
 
-def _state_prefix(state: int) -> np.ndarray:
-    # Two octets holding [0, 0, bit13 .. bit0]: stream index -1-k maps to
-    # state bit k, so the oldest bit (13) sits right after the 2-bit pad.
-    return np.array([(state >> 8) & 0x3F, state & 0xFF], dtype=np.uint8)
+def _words(state: int, octets: np.ndarray) -> np.ndarray:
+    # Zero padding to a whole word changes no earlier bit: every delay is causal.
+    ext = np.zeros((octets.shape[0] + 9) // 8 * 8, dtype=np.uint8)
+    ext[0], ext[1] = state >> 8, state & 0xFF
+    ext[2:octets.shape[0] + 2] = octets
+    return ext.view(">u8").astype(np.uint64)
+
+
+def _tail_state(words: np.ndarray, n: int) -> int:
+    # The extended stream's last 14 bits: its octets n and n + 1.
+    pair = words[n // 8: n // 8 + 2].astype(">u8").view(np.uint8)
+    return (int(pair[n % 8]) << 8 | int(pair[n % 8 + 1])) & STATE_MASK
 
 
 def _octets(octets: np.ndarray) -> np.ndarray:
@@ -146,12 +156,12 @@ def descramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
     octets = _octets(octets)
     if octets.size == 0:
         return state & STATE_MASK, octets.copy()
-    ext = np.concatenate([_state_prefix(state), octets])
-    y = ext.copy()
-    _xor_delayed(y, ext, _TAP_A)
-    _xor_delayed(y, ext, _TAP_B)
-    new_state = ((int(ext[-2]) << 8) | int(ext[-1])) & STATE_MASK
-    return new_state, y[2:]
+    n = octets.shape[0]
+    x = _words(state & STATE_MASK, octets)
+    y = x.copy()
+    _xor_delayed(y, x, _TAP_A)
+    _xor_delayed(y, x, _TAP_B)
+    return _tail_state(x, n), y.astype(">u8").view(np.uint8)[2:n + 2]
 
 
 def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
@@ -165,15 +175,15 @@ def scramble_octets(state: int, octets: np.ndarray) -> tuple[int, np.ndarray]:
     octets = _octets(octets)
     if octets.size == 0:
         return state & STATE_MASK, octets.copy()
-    y = np.concatenate([_state_prefix(state), octets])
-    # Fold the recurrence's reach into the state prefix: bit 15 of the
-    # extended stream picks up the oldest state bit (stream index 2).
-    y[1] ^= (y[0] >> 5) & 1
+    n = octets.shape[0]
+    # Fold the recurrence's reach into the state: bit 0 picks up bit 13.
+    y = _words(state & STATE_MASK ^ (state >> _TAP_A & 1), octets)
+    old = np.empty_like(y)
     j = 0
-    while _TAP_A << j < 8 * y.shape[0]:
-        old = y.copy()   # each pass reads the stream as it was
-        _xor_delayed(y, old, _TAP_A << j)
-        _xor_delayed(y, old, _TAP_B << j)
+    while _TAP_A << j < 8 * (n + 2):
+        src = old[: old.shape[0] - (_TAP_A << j) // 64]   # the prefix this pass reads,
+        src[:] = y[: src.shape[0]]                         # as it was before the pass
+        _xor_delayed(y, src, _TAP_A << j)
+        _xor_delayed(y, src, _TAP_B << j)
         j += 1
-    new_state = ((int(y[-2]) << 8) | int(y[-1])) & STATE_MASK
-    return new_state, y[2:]
+    return _tail_state(y, n), y.astype(">u8").view(np.uint8)[2:n + 2]

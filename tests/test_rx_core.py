@@ -407,6 +407,22 @@ class TestFaultPaths:
         assert link.rx.resync_count == 1
         assert link.rx.error_counts["control_in_data"] >= 1
 
+    @pytest.mark.parametrize("gap, trips", [(255, True), (256, False)])
+    def test_error_window_spans_256_cycles(self, gap, trips):
+        # With a threshold of two, two not-in-table characters resync the
+        # link only when they fall within one 256-cycle window.
+        link = MiniLink(dataclasses.replace(CFG, error_threshold=2))
+        link.run(300)
+        assert link.rx.released
+        start = link.rx.cycle + 5
+
+        def hook(t, ln, k, v):
+            return v | NIT_FLAG if ln == 0 and k == 0 and t in (start, start + gap) else v
+        link.corrupt = hook
+        link.run(gap + 10)
+        assert link.rx.error_counts["not_in_table"] == 2
+        assert link.rx.resync_count == int(trips)
+
     def test_overflow_on_skew_beyond_capacity(self):
         cfg = dataclasses.replace(CFG, buffer_depth=64)
         link = MiniLink(cfg, skews=[0, 100])

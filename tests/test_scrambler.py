@@ -212,10 +212,15 @@ class TestBulkOctetForm:
             parts.append(part)
         assert (np.concatenate(parts) == whole).all()
 
-    # Lengths that reach each shape of the delayed XOR: a delay past the
-    # stream, a low-bits slice that ends at the stream's last octet, a bit
-    # delay and a whole-octet delay (the extended stream is n + 2 octets).
-    @pytest.mark.parametrize("n", [1, 2, 6, 7, 13, 14, 104, 105, 2**16 + 3])
+    # Lengths that reach each shape of the delayed XOR on 64-bit words (the
+    # extended stream is n + 2 octets, zero-padded to whole words): streams
+    # of one word and of one octet past whole words (n + 2 = 8k + 1), bit
+    # delays whose low-bits slice is empty or ends at the last word, and
+    # whole-word delays that end at the last word (n = 111), lie just past
+    # it (103, 110) or more than a word past it (435: 55 words, taps at 52
+    # and 56 words).
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 13, 14, 15, 102, 103, 104, 105,
+                                   110, 111, 435, 2**16 + 3])
     @pytest.mark.parametrize("bulk, oracle", [
         (sc.scramble_octets, oracle_scramble),
         (sc.descramble_octets, oracle_descramble),
@@ -236,13 +241,15 @@ class TestBulkOctetForm:
         rng = np.random.default_rng(32)
         octets = rng.integers(0, 256, 5_000).astype(np.uint8)
         st_whole, whole = bulk(0x2AB7, octets)
-        state, parts, i, k = 0x2AB7, [], 0, 0
-        while i < octets.size:
-            size = (1, 7, 13, 999)[k % 4]
-            state, part = bulk(state, octets[i:i + size])
-            parts.append(part)
-            i, k = i + size, k + 1
-        assert state == st_whole and (np.concatenate(parts) == whole).all()
+        # Octet splits, then splits around whole 64-bit words.
+        for sizes in ((1, 7, 13, 999), (6, 8, 9, 64, 65)):
+            state, parts, i, k = 0x2AB7, [], 0, 0
+            while i < octets.size:
+                size = sizes[k % len(sizes)]
+                state, part = bulk(state, octets[i:i + size])
+                parts.append(part)
+                i, k = i + size, k + 1
+            assert state == st_whole and (np.concatenate(parts) == whole).all()
 
     @pytest.mark.parametrize("bulk", [sc.scramble_octets, sc.descramble_octets],
                              ids=["scramble", "descramble"])

@@ -110,6 +110,17 @@ class TestSetupErrors:
         assert rep.error_counts["buffer_overflow"] >= 1
         assert not rep.payload_match
 
+    @pytest.mark.parametrize("depth, t_release, overflows",
+                             [(92, 230, False), (91, -1, True)])
+    def test_overflow_boundary_on_the_bench_link(self, depth, t_release, overflows):
+        # With zero skew each lane's buffer peaks at 92 octets on the
+        # release cycle, 230: a buffer of exactly that many octets does not
+        # overflow, one octet less overflows on every bring-up.
+        cfg = dataclasses.replace(CFG, buffer_depth=depth)
+        rep = run_simulation(cfg, channel=ChannelSpec(skew=[0, 0]), duration=20_000)
+        assert rep.t_release == t_release
+        assert (rep.error_counts["buffer_overflow"] > 0) is overflows
+
 
 class TestSkew:
     def test_zero_skew_adds_no_delay(self):
@@ -189,6 +200,16 @@ class TestBitErrors:
         assert rep.sync_achieved and rep.payload_match
         assert rep.resync_count == 0
         assert rep.flips_injected == 1 and rep.flips_pre_release == 1
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["stepped", "fast"])
+    @pytest.mark.parametrize("bit, pre_release", [(9239, 1), (9240, 0)])
+    def test_pre_release_ends_with_the_release_cycle(self, bit, pre_release, fast):
+        # The link releases on cycle 230, whose last line bit is
+        # 40 * 231 - 1 = 9239: a flip there is pre-release, one bit later not.
+        channel = ChannelSpec(error_positions=[(0, bit)])
+        rep = Simulation(CFG, payload=PAY, channel=channel).run(400, fast=fast)
+        assert rep.t_release == 230 and rep.flips_injected == 1
+        assert rep.flips_pre_release == pre_release
 
     def test_injection_soundness_every_flip_accounted(self):
         # Flips land in live data, below the resync threshold and spaced
